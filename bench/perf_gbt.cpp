@@ -1,8 +1,6 @@
 /// google-benchmark microbenchmarks for the gradient boosting substrate:
-/// training throughput (hist vs exact, by rows/features/depth) and batch
-/// prediction latency. These back the DESIGN.md claim that the hist method
-/// trades no accuracy (asserted in tests) for substantially faster split
-/// finding on wide data.
+/// training throughput (by rows/features/depth) and batch prediction
+/// latency.
 
 #include <benchmark/benchmark.h>
 
@@ -41,7 +39,6 @@ using mysawh::gbt::GradientPair;
 using mysawh::gbt::HistogramBuilder;
 using mysawh::gbt::HistogramLayout;
 using mysawh::gbt::NodeHistogram;
-using mysawh::gbt::TreeMethod;
 
 Dataset MakeData(int64_t rows, int64_t features, uint64_t seed) {
   Rng rng(seed);
@@ -65,17 +62,16 @@ Dataset MakeData(int64_t rows, int64_t features, uint64_t seed) {
   return ds;
 }
 
-GbtParams BenchParams(TreeMethod method) {
+GbtParams BenchParams() {
   GbtParams params;
   params.num_trees = 20;
   params.max_depth = 4;
-  params.tree_method = method;
   return params;
 }
 
 void BM_TrainHist(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), state.range(1), 1);
-  const GbtParams params = BenchParams(TreeMethod::kHist);
+  const GbtParams params = BenchParams();
   // Histogram pipeline counters live in the metrics registry now; training
   // is deterministic, so the per-run node counts are exactly the counter
   // delta divided by the iteration count.
@@ -108,7 +104,7 @@ BENCHMARK(BM_TrainHist)
 /// overhead (docs/observability.md budgets it at < 5%).
 void BM_TrainHistTraceEnabled(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), state.range(1), 1);
-  const GbtParams params = BenchParams(TreeMethod::kHist);
+  const GbtParams params = BenchParams();
   for (auto _ : state) {
     // Enable() clears the previous iteration's events, so the buffer cost
     // stays bounded and every iteration traces the same span population.
@@ -132,7 +128,7 @@ BENCHMARK(BM_TrainHistTraceEnabled)
 /// /proc and diffs counters off the training threads' critical path.
 void BM_MonitorOverhead(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), state.range(1), 1);
-  const GbtParams params = BenchParams(TreeMethod::kHist);
+  const GbtParams params = BenchParams();
   mysawh::MonitorOptions options;
   options.status_path = "/tmp/mysawh_bench_status.json";
   options.interval_ms = 50;
@@ -161,7 +157,7 @@ BENCHMARK(BM_MonitorOverhead)
 /// number never conflates monitor cost with unrelated training drift.
 void BM_MonitorDisabled(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), state.range(1), 1);
-  const GbtParams params = BenchParams(TreeMethod::kHist);
+  const GbtParams params = BenchParams();
   for (auto _ : state) {
     auto model = GbtModel::Train(data, params);
     benchmark::DoNotOptimize(model);
@@ -201,24 +197,9 @@ BENCHMARK(BM_HistogramBuild)
     ->Args({8000, 64})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_TrainExact(benchmark::State& state) {
-  const Dataset data = MakeData(state.range(0), state.range(1), 1);
-  const GbtParams params = BenchParams(TreeMethod::kExact);
-  for (auto _ : state) {
-    auto model = GbtModel::Train(data, params);
-    benchmark::DoNotOptimize(model);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TrainExact)
-    ->Args({500, 16})
-    ->Args({2000, 16})
-    ->Args({2000, 64})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_TrainDepth(benchmark::State& state) {
   const Dataset data = MakeData(2000, 32, 2);
-  GbtParams params = BenchParams(TreeMethod::kHist);
+  GbtParams params = BenchParams();
   params.max_depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto model = GbtModel::Train(data, params);
@@ -234,7 +215,7 @@ BENCHMARK(BM_TrainDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
 /// DESIGN.md and gated by tools/bench_diff.py.
 void BM_PredictBatch(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
-  GbtParams params = BenchParams(TreeMethod::kHist);
+  GbtParams params = BenchParams();
   params.num_trees = static_cast<int>(state.range(0));
   const GbtModel model = GbtModel::Train(train, params).value();
   const Dataset test = MakeData(1000, 32, 4);
@@ -251,7 +232,7 @@ BENCHMARK(BM_PredictBatch)->Arg(20)->Arg(100)->Arg(300)
 /// original tree nodes, bypassing the flat forest.
 void BM_PredictBatchRef(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
-  GbtParams params = BenchParams(TreeMethod::kHist);
+  GbtParams params = BenchParams();
   params.num_trees = static_cast<int>(state.range(0));
   const GbtModel model = GbtModel::Train(train, params).value();
   const Dataset test = MakeData(1000, 32, 4);
@@ -271,7 +252,7 @@ BENCHMARK(BM_PredictBatchRef)->Arg(20)->Arg(100)->Arg(300)
 /// tools/bench_diff.py.
 void BM_AuditLog(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
-  GbtParams params = BenchParams(TreeMethod::kHist);
+  GbtParams params = BenchParams();
   params.num_trees = static_cast<int>(state.range(0));
   const GbtModel model = GbtModel::Train(train, params).value();
   const Dataset test = MakeData(1000, 32, 4);
@@ -294,7 +275,7 @@ BENCHMARK(BM_AuditLog)->Arg(300)->Unit(benchmark::kMillisecond);
 /// the steady-state monitored predict (the criterion's scenario).
 void BM_DriftMonitor(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 3);
-  GbtParams params = BenchParams(TreeMethod::kHist);
+  GbtParams params = BenchParams();
   params.num_trees = static_cast<int>(state.range(0));
   const GbtModel model = GbtModel::Train(train, params).value();
   const Dataset test = MakeData(1000, 32, 4);
@@ -315,7 +296,7 @@ BENCHMARK(BM_DriftMonitor)->Arg(300)->Unit(benchmark::kMillisecond);
 
 void BM_Serialize(benchmark::State& state) {
   const Dataset train = MakeData(2000, 32, 5);
-  GbtParams params = BenchParams(TreeMethod::kHist);
+  GbtParams params = BenchParams();
   params.num_trees = 100;
   const GbtModel model = GbtModel::Train(train, params).value();
   for (auto _ : state) {

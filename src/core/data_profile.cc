@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gbt/binning.h"
+#include "gbt/params.h"
 #include "util/telemetry.h"
 
 namespace mysawh::core {
@@ -91,8 +92,7 @@ int64_t CountPositives(const std::vector<double>& labels) {
 
 Result<DataQualityProfile> ProfilePartition(const Dataset& train,
                                             const Dataset& test,
-                                            bool classification,
-                                            int max_bins) {
+                                            bool classification) {
   if (train.num_rows() == 0 || test.num_rows() == 0) {
     return Status::InvalidArgument("profile needs non-empty partitions");
   }
@@ -119,8 +119,9 @@ Result<DataQualityProfile> ProfilePartition(const Dataset& train,
   }
 
   // Bin occupancy at the trainer's histogram resolution.
-  MYSAWH_ASSIGN_OR_RETURN(gbt::BinnedData binned,
-                          gbt::BuildBinned(train, max_bins, nullptr));
+  MYSAWH_ASSIGN_OR_RETURN(
+      gbt::BinnedData binned,
+      gbt::BuildBinned(train, gbt::GbtParams().max_bins, nullptr));
   const std::vector<gbt::BinOccupancy> occupancy =
       gbt::ComputeBinOccupancy(binned.bins, binned.matrix);
 

@@ -66,14 +66,13 @@ struct DataQualityProfile {
   double mean_bin_occupancy = 0.0;  ///< Mean occupied/num_bins over features.
 };
 
-/// Profiles one train/test partition. `max_bins` matches the trainer's
-/// histogram resolution so the occupancy stats describe the bins training
-/// actually used. Fails only on malformed input (empty partitions,
-/// mismatched widths).
+/// Profiles one train/test partition. Features are binned at the
+/// trainer's default histogram resolution (gbt::GbtParams().max_bins) so
+/// the occupancy stats describe the bins training actually used. Fails
+/// only on malformed input (empty partitions, mismatched widths).
 Result<DataQualityProfile> ProfilePartition(const Dataset& train,
                                             const Dataset& test,
-                                            bool classification,
-                                            int max_bins = 64);
+                                            bool classification);
 
 /// Deterministic JSON object (no trailing newline) for the manifest's
 /// `data_quality` block. Doubles use round-trip-exact shortest form; NaN

@@ -43,7 +43,6 @@ double ExperimentResult::HeadlineMetric() const {
 
 gbt::GbtParams DefaultGbtParams(Outcome outcome, Approach approach) {
   gbt::GbtParams params;
-  params.tree_method = gbt::TreeMethod::kHist;
   params.learning_rate = 0.07;
   params.num_trees = 300;
   params.subsample = 0.9;

@@ -13,7 +13,7 @@
 namespace mysawh::gbt {
 
 /// Sentinel bin of a missing (NaN) feature value in a quantized row. Shared
-/// with the training-side byte matrix (gbt/binning.h kMissingBin8).
+/// with the training-side byte matrix (gbt/binning.h kMissingBin).
 inline constexpr uint8_t kFlatMissingBin = 0xFF;
 
 /// Rows per predict block: the batch kernel quantizes this many rows into a
@@ -46,7 +46,9 @@ inline constexpr int64_t kFlatPredictBlock = 64;
 /// A forest whose shape cannot be compiled (more than 254 distinct
 /// thresholds on one feature, more than 32767 features) is reported by
 /// Compile with FailedPrecondition; callers fall back to the reference
-/// walker.
+/// walker. Training never produces more thresholds than its byte-wide bins
+/// (gbt/binning.h kMaxBins), so only a loaded model file can take this
+/// path.
 class FlatForest {
  public:
   FlatForest() = default;

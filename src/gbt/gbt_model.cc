@@ -35,8 +35,9 @@ void GbtModel::CompileFlat() {
     flat_ = std::make_shared<const FlatForest>(std::move(compiled).value());
     return;
   }
-  // An uncompilable shape (e.g. >254 distinct thresholds on one feature)
-  // is not an error — the reference walker handles every valid forest.
+  // An uncompilable shape (e.g. >254 distinct thresholds on one feature,
+  // which only a loaded model file can hold) is not an error — the
+  // reference walker handles every valid forest.
   static Counter* const fallback_counter = MetricsRegistry::Global().GetCounter(
       "gbt.predict.flat_compile_fallbacks");
   fallback_counter->Increment();

@@ -34,7 +34,7 @@ struct TrainingLog {
 /// boosting, built from scratch). Supports regression (squared error,
 /// pseudo-Huber) and binary classification (logistic), missing values via
 /// learned default directions, L1/L2/gamma regularization, row and column
-/// subsampling, histogram or exact split finding, and early stopping.
+/// subsampling, histogram split finding, and early stopping.
 ///
 /// Implements the polymorphic `model::Model` interface, registered in the
 /// serialization registry under kind "gbt".

@@ -13,13 +13,11 @@ namespace {
 constexpr int64_t kHistChunkRows = 2048;
 
 /// Accumulates rows [begin, end) of `rows` into `out` — the single
-/// cache-friendly pass: each row's `cells` are read contiguously and feed
-/// all selected features. BinT is the cell width of the binned matrix and
-/// MissingV its missing sentinel; per-feature slot base pointers are
-/// hoisted so the inner loop is load/add/store per feature.
-template <typename BinT, BinT MissingV>
-void AccumulateCells(const HistogramLayout& layout, const BinT* cells,
-                     int64_t stride, const std::vector<int64_t>& rows,
+/// cache-friendly pass: each row's cells are read contiguously and feed
+/// all selected features. Per-feature slot base pointers are hoisted so
+/// the inner loop is load/add/store per feature.
+void AccumulateCells(const HistogramLayout& layout, const BinnedMatrix& binned,
+                     const std::vector<int64_t>& rows,
                      const std::vector<GradientPair>& gpairs, int64_t begin,
                      int64_t end, NodeHistogram* out) {
   const int* feats = layout.features().data();
@@ -31,35 +29,21 @@ void AccumulateCells(const HistogramLayout& layout, const BinT* cells,
     bases[static_cast<size_t>(fi)] = slots + layout.offset(fi);
   }
   HistEntry** base = bases.data();
+  const uint8_t* cells = binned.data();
+  const int64_t stride = binned.num_features();
   for (int64_t i = begin; i < end; ++i) {
     const int64_t r = rows[static_cast<size_t>(i)];
-    const BinT* row_bins = cells + r * stride;
+    const uint8_t* row_bins = cells + r * stride;
     const double g = gpairs[static_cast<size_t>(r)].grad;
     const double h = gpairs[static_cast<size_t>(r)].hess;
     for (int fi = 0; fi < nf; ++fi) {
-      const BinT b = row_bins[feats[fi]];
+      const uint8_t b = row_bins[feats[fi]];
       HistEntry& e =
-          b == MissingV ? miss[fi] : base[fi][static_cast<int64_t>(b)];
+          b == kMissingBin ? miss[fi] : base[fi][static_cast<int64_t>(b)];
       e.sum_g += g;
       e.sum_h += h;
       ++e.count;
     }
-  }
-}
-
-/// Width dispatch for AccumulateCells.
-void AccumulateRange(const HistogramLayout& layout, const BinnedMatrix& binned,
-                     const std::vector<int64_t>& rows,
-                     const std::vector<GradientPair>& gpairs, int64_t begin,
-                     int64_t end, NodeHistogram* out) {
-  if (binned.narrow()) {
-    AccumulateCells<uint8_t, kMissingBin8>(layout, binned.data8(),
-                                           binned.num_features(), rows,
-                                           gpairs, begin, end, out);
-  } else {
-    AccumulateCells<uint16_t, kMissingBin>(layout, binned.data16(),
-                                           binned.num_features(), rows,
-                                           gpairs, begin, end, out);
   }
 }
 
@@ -101,7 +85,7 @@ NodeHistogram HistogramBuilder::Build(
   const auto n = static_cast<int64_t>(rows.size());
   if (n == 0) return out;
   if (n <= kHistChunkRows) {
-    AccumulateRange(layout, *binned_, rows, gpairs, 0, n, &out);
+    AccumulateCells(layout, *binned_, rows, gpairs, 0, n, &out);
     return out;
   }
   // Fixed-boundary chunk partials, merged in ascending chunk order. The
@@ -112,7 +96,7 @@ NodeHistogram HistogramBuilder::Build(
   auto accumulate_chunk = [&](int64_t chunk, int64_t begin, int64_t end) {
     NodeHistogram& partial = partials[static_cast<size_t>(chunk)];
     partial = NodeHistogram(layout);
-    AccumulateRange(layout, *binned_, rows, gpairs, begin, end, &partial);
+    AccumulateCells(layout, *binned_, rows, gpairs, begin, end, &partial);
   };
   auto merge_slot = [&](HistEntry* dst, int64_t slot, bool missing) {
     for (const NodeHistogram& partial : partials) {

@@ -10,18 +10,11 @@
 
 namespace mysawh::gbt {
 
-/// Split-finding algorithm.
-enum class TreeMethod {
-  kExact,  ///< Sort-and-scan over raw feature values at every node.
-  kHist,   ///< Quantile-binned histograms (XGBoost "hist"); faster, same
-           ///< accuracy at the bin resolution.
-};
-
 /// Booster hyperparameters; defaults follow XGBoost's conventions and are
-/// tuned mildly for small tabular clinical datasets.
+/// tuned mildly for small tabular clinical datasets. Splits are always found
+/// on quantile-binned histograms (XGBoost "hist").
 struct GbtParams {
   ObjectiveType objective = ObjectiveType::kSquaredError;
-  TreeMethod tree_method = TreeMethod::kHist;
 
   int num_trees = 200;          ///< Boosting rounds.
   int max_depth = 4;            ///< Maximum tree depth (>= 1).
@@ -33,7 +26,7 @@ struct GbtParams {
   double gamma = 0.0;           ///< Min loss reduction to make a split.
   double subsample = 1.0;       ///< Row subsampling per tree, (0, 1].
   double colsample_bytree = 1.0;///< Feature subsampling per tree, (0, 1].
-  int max_bins = 64;            ///< Histogram bins per feature (hist only).
+  int max_bins = 64;            ///< Histogram bins per feature, [2, 254].
   /// Gradient weight multiplier for positive (label == 1) samples; > 1
   /// counteracts class imbalance in binary objectives (XGBoost's
   /// scale_pos_weight). Ignored for regression labels not equal to 1.

@@ -137,48 +137,6 @@ void Trainer::ConsiderSplit(const NodeStats& parent, double parent_score,
   }
 }
 
-Trainer::SplitCandidate Trainer::FindSplitExact(
-    int feature, const std::vector<int64_t>& rows,
-    const std::vector<GradientPair>& gpairs, const NodeStats& parent,
-    const NodeBounds& bounds) const {
-  struct Entry {
-    double value;
-    double g;
-    double h;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(rows.size());
-  NodeStats miss;
-  for (int64_t r : rows) {
-    const double v = train_.At(r, feature);
-    const GradientPair& gp = gpairs[static_cast<size_t>(r)];
-    if (std::isnan(v)) {
-      miss.sum_g += gp.grad;
-      miss.sum_h += gp.hess;
-      ++miss.count;
-    } else {
-      entries.push_back({v, gp.grad, gp.hess});
-    }
-  }
-  SplitCandidate best;
-  if (entries.size() < 2) return best;
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.value < b.value; });
-  const double parent_score = ScoreFn(parent.sum_g, parent.sum_h);
-  double sum_g_left = 0.0, sum_h_left = 0.0;
-  int64_t count_left = 0;
-  for (size_t i = 0; i + 1 < entries.size(); ++i) {
-    sum_g_left += entries[i].g;
-    sum_h_left += entries[i].h;
-    ++count_left;
-    if (entries[i].value == entries[i + 1].value) continue;
-    const double threshold = 0.5 * (entries[i].value + entries[i + 1].value);
-    ConsiderSplit(parent, parent_score, miss, sum_g_left, sum_h_left,
-                  count_left, feature, threshold, /*bin=*/-1, bounds, &best);
-  }
-  return best;
-}
-
 Trainer::SplitCandidate Trainer::FindSplitHist(
     int feature_pos, const HistogramLayout& layout, const NodeHistogram& hist,
     const NodeStats& parent, const NodeBounds& bounds) const {
@@ -211,14 +169,6 @@ Trainer::SplitCandidate Trainer::FindSplitHist(
   return best;
 }
 
-namespace {
-
-/// Stack capacity of the array-form boundary scan; features with more bins
-/// take the scalar fallback.
-constexpr int kMaxVecBins = 256;
-
-}  // namespace
-
 Trainer::SplitCandidate Trainer::FindSplitHistFast(
     int feature, int nb, const HistEntry* slots, const NodeStats& miss,
     const NodeStats& parent, double parent_score, int64_t present) const {
@@ -244,166 +194,96 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
   double best_gain = kMinSplitGain;
   int best_bin = -1;
   bool best_dir = true;
-  if (nb <= kMaxVecBins) {
-    // Array form: prefix sums first, then a gain loop whose iterations are
-    // independent, so the divisions (the per-boundary cost) pipeline
-    // instead of serializing behind branches. Counts are carried as
-    // doubles (exact for any realistic row count) to keep the loop in one
-    // vectorizable domain. Empty bins duplicate their predecessor's prefix
-    // and thus its gain; the strict-> argmax keeps the earlier bin, which
-    // reproduces the scalar path's skip of empty boundaries.
-    const int nbound = nb - 1;
-    double pg[kMaxVecBins], ph[kMaxVecBins], pc[kMaxVecBins];
-    double own[kMaxVecBins];
-    double gain_l[kMaxVecBins], gain_r[kMaxVecBins];
-    {
-      double ag = 0.0, ah = 0.0;
-      int64_t ac = 0;
-      for (int b = 0; b < nbound; ++b) {
-        ag += slots[b].sum_g;
-        ah += slots[b].sum_h;
-        ac += slots[b].count;
-        pg[b] = ag;
-        ph[b] = ah;
-        pc[b] = static_cast<double>(ac);
-        own[b] = static_cast<double>(slots[b].count);
-      }
-    }
-    const double msl_d = static_cast<double>(msl);
-    const double present_d = static_cast<double>(present);
-    const double miss_g = miss.sum_g;
-    const double miss_h = miss.sum_h;
-    const double miss_c = static_cast<double>(miss.count);
-    const double neg_inf = -std::numeric_limits<double>::infinity();
-    for (int b = 0; b < nbound; ++b) {  // Missing goes left.
-      const double gl = pg[b] + miss_g;
-      const double hl = ph[b] + miss_h;
-      const double cl = pc[b] + miss_c;
-      const double shr = hsub - ph[b];
-      const double scr = present_d - pc[b];
-      const double gain =
-          0.5 * (score(gl, hl) + score(gsub - pg[b], shr) - parent_score) -
-          gamma;
-      // own[b] == 0 boundaries are skipped in the scalar scan ("no boundary
-      // change"), so mask them here for identical decisions.
-      const bool ok = own[b] > 0.0 && cl >= msl_d && scr >= msl_d &&
-                      hl >= mcw && shr >= mcw;
-      gain_l[b] = ok ? gain : neg_inf;
-    }
-    if (!no_miss) {
-      for (int b = 0; b < nbound; ++b) {  // Missing goes right.
-        const double sgr = gsub - pg[b];
-        const double shr = hsub - ph[b];
-        const double gr = sgr + miss_g;
-        const double hr = shr + miss_h;
-        const double cr = (present_d - pc[b]) + miss_c;
-        const double gain =
-            0.5 * (score(pg[b], ph[b]) + score(gr, hr) - parent_score) -
-            gamma;
-        const bool ok = own[b] > 0.0 && pc[b] >= msl_d && cr >= msl_d &&
-                        ph[b] >= mcw && hr >= mcw;
-        gain_r[b] = ok ? gain : neg_inf;
-      }
-    }
-    // Strict >: bins ascend and missing-left is checked first, so keeping
-    // the incumbent on ties reproduces ConsiderSplit's smaller-threshold /
-    // missing-left preference.
+  // Array form: prefix sums first, then a gain loop whose iterations are
+  // independent, so the divisions (the per-boundary cost) pipeline instead
+  // of serializing behind branches. Counts are carried as doubles (exact
+  // for any realistic row count) to keep the loop in one vectorizable
+  // domain. Empty bins duplicate their predecessor's prefix and thus its
+  // gain; the strict-> argmax keeps the earlier bin, which reproduces
+  // ConsiderSplit's skip of empty boundaries.
+  const int nbound = nb - 1;
+  double pg[kMaxBins], ph[kMaxBins], pc[kMaxBins];
+  double own[kMaxBins];
+  double gain_l[kMaxBins], gain_r[kMaxBins];
+  {
+    double ag = 0.0, ah = 0.0;
+    int64_t ac = 0;
     for (int b = 0; b < nbound; ++b) {
-      if (gain_l[b] > best_gain) {
-        best_gain = gain_l[b];
-        best_bin = b;
-        best_dir = true;
-      }
-      if (!no_miss && gain_r[b] > best_gain) {
-        best_gain = gain_r[b];
-        best_bin = b;
-        best_dir = false;
-      }
+      ag += slots[b].sum_g;
+      ah += slots[b].sum_h;
+      ac += slots[b].count;
+      pg[b] = ag;
+      ph[b] = ah;
+      pc[b] = static_cast<double>(ac);
+      own[b] = static_cast<double>(slots[b].count);
     }
-    SplitCandidate best;
-    if (best_bin >= 0) {
-      const double gl =
-          best_dir ? pg[best_bin] + miss_g : pg[best_bin];
-      const double hl =
-          best_dir ? ph[best_bin] + miss_h : ph[best_bin];
-      const double gr =
-          best_dir ? gsub - pg[best_bin] : (gsub - pg[best_bin]) + miss_g;
-      const double hr =
-          best_dir ? hsub - ph[best_bin] : (hsub - ph[best_bin]) + miss_h;
-      best.valid = true;
-      best.feature = feature;
-      best.threshold = bins_.cut(feature, best_bin);
-      best.bin = best_bin;
-      best.default_left = best_dir;
-      best.gain = best_gain;
-      best.weight_left = LeafWeight(gl, hl);
-      best.weight_right = LeafWeight(gr, hr);
-    }
-    return best;
   }
-  // Scalar fallback for very wide features (nb > kMaxVecBins).
-  double best_gl = 0.0, best_hl = 0.0, best_gr = 0.0, best_hr = 0.0;
-  double acc_g = 0.0, acc_h = 0.0;
-  int64_t acc_c = 0;
-  for (int b = 0; b + 1 < nb; ++b) {
-    acc_g += slots[b].sum_g;
-    acc_h += slots[b].sum_h;
-    acc_c += slots[b].count;
-    if (slots[b].count == 0) continue;  // no boundary change
-    const double sgr = gsub - acc_g;
-    const double shr = hsub - acc_h;
-    const int64_t scr = present - acc_c;
-    {  // Missing goes left.
-      const double gl = acc_g + miss.sum_g;
-      const double hl = acc_h + miss.sum_h;
-      const int64_t cl = acc_c + miss.count;
-      if (cl >= msl && scr >= msl && hl >= mcw && shr >= mcw) {
-        const double gain =
-            0.5 * (score(gl, hl) + score(sgr, shr) - parent_score) - gamma;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_bin = b;
-          best_dir = true;
-          best_gl = gl;
-          best_hl = hl;
-          best_gr = sgr;
-          best_hr = shr;
-        }
-      }
+  const double msl_d = static_cast<double>(msl);
+  const double present_d = static_cast<double>(present);
+  const double miss_g = miss.sum_g;
+  const double miss_h = miss.sum_h;
+  const double miss_c = static_cast<double>(miss.count);
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  for (int b = 0; b < nbound; ++b) {  // Missing goes left.
+    const double gl = pg[b] + miss_g;
+    const double hl = ph[b] + miss_h;
+    const double cl = pc[b] + miss_c;
+    const double shr = hsub - ph[b];
+    const double scr = present_d - pc[b];
+    const double gain =
+        0.5 * (score(gl, hl) + score(gsub - pg[b], shr) - parent_score) -
+        gamma;
+    // own[b] == 0 boundaries are skipped by the generic scan ("no boundary
+    // change"), so mask them here for identical decisions.
+    const bool ok = own[b] > 0.0 && cl >= msl_d && scr >= msl_d &&
+                    hl >= mcw && shr >= mcw;
+    gain_l[b] = ok ? gain : neg_inf;
+  }
+  if (!no_miss) {
+    for (int b = 0; b < nbound; ++b) {  // Missing goes right.
+      const double sgr = gsub - pg[b];
+      const double shr = hsub - ph[b];
+      const double gr = sgr + miss_g;
+      const double hr = shr + miss_h;
+      const double cr = (present_d - pc[b]) + miss_c;
+      const double gain =
+          0.5 * (score(pg[b], ph[b]) + score(gr, hr) - parent_score) - gamma;
+      const bool ok = own[b] > 0.0 && pc[b] >= msl_d && cr >= msl_d &&
+                      ph[b] >= mcw && hr >= mcw;
+      gain_r[b] = ok ? gain : neg_inf;
     }
-    if (!no_miss) {  // Missing goes right.
-      const double gr = sgr + miss.sum_g;
-      const double hr = shr + miss.sum_h;
-      const int64_t cr = scr + miss.count;
-      if (acc_c >= msl && cr >= msl && acc_h >= mcw && hr >= mcw) {
-        const double gain =
-            0.5 * (score(acc_g, acc_h) + score(gr, hr) - parent_score) -
-            gamma;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_bin = b;
-          best_dir = false;
-          best_gl = acc_g;
-          best_hl = acc_h;
-          best_gr = gr;
-          best_hr = hr;
-        }
-      }
+  }
+  // Strict >: bins ascend and missing-left is checked first, so keeping the
+  // incumbent on ties reproduces ConsiderSplit's smaller-threshold /
+  // missing-left preference.
+  for (int b = 0; b < nbound; ++b) {
+    if (gain_l[b] > best_gain) {
+      best_gain = gain_l[b];
+      best_bin = b;
+      best_dir = true;
     }
-    // Every present row is on the left: later boundaries leave the right
-    // side empty and can never form a valid split.
-    if (acc_c == present) break;
+    if (!no_miss && gain_r[b] > best_gain) {
+      best_gain = gain_r[b];
+      best_bin = b;
+      best_dir = false;
+    }
   }
   SplitCandidate best;
   if (best_bin >= 0) {
+    const double gl = best_dir ? pg[best_bin] + miss_g : pg[best_bin];
+    const double hl = best_dir ? ph[best_bin] + miss_h : ph[best_bin];
+    const double gr =
+        best_dir ? gsub - pg[best_bin] : (gsub - pg[best_bin]) + miss_g;
+    const double hr =
+        best_dir ? hsub - ph[best_bin] : (hsub - ph[best_bin]) + miss_h;
     best.valid = true;
     best.feature = feature;
     best.threshold = bins_.cut(feature, best_bin);
     best.bin = best_bin;
     best.default_left = best_dir;
     best.gain = best_gain;
-    best.weight_left = LeafWeight(best_gl, best_hl);
-    best.weight_right = LeafWeight(best_gr, best_hr);
+    best.weight_left = LeafWeight(gl, hl);
+    best.weight_right = LeafWeight(gr, hr);
   }
   return best;
 }
@@ -411,9 +291,8 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
 void Trainer::BuildNode(RegressionTree* tree, int node_id,
                         std::vector<int64_t> rows, int depth,
                         const std::vector<GradientPair>& gpairs,
-                        const std::vector<int>& features,
                         const NodeBounds& bounds,
-                        const HistogramLayout* layout, NodeHistogram hist) {
+                        const HistogramLayout& layout, NodeHistogram hist) {
   NodeStats stats;
   for (int64_t r : rows) {
     stats.sum_g += gpairs[static_cast<size_t>(r)].grad;
@@ -427,24 +306,21 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
                          stats.sum_h >= 2 * params_.min_child_weight;
   SplitCandidate best;
   if (can_split) {
-    if (use_hist_ && hist.empty()) {
+    if (hist.empty()) {
       // Root (or a node whose parent skipped the subtraction trick): one
       // row-major pass accumulates every feature's histogram at once.
       TraceSpan span("gbt.hist_build", "train");
       span.Arg("rows", static_cast<int64_t>(rows.size()));
-      hist = hist_builder_->Build(*layout, rows, gpairs);
+      hist = hist_builder_->Build(layout, rows, gpairs);
       ++hist_nodes_direct_;
     }
     TraceSpan split_span("gbt.split_find", "train");
     // Per-feature proposals evaluated in parallel, reduced deterministically.
-    std::vector<SplitCandidate> proposals(features.size());
-    pool_.ParallelFor(static_cast<int64_t>(features.size()), [&](int64_t i) {
+    std::vector<SplitCandidate> proposals(
+        static_cast<size_t>(layout.num_features()));
+    pool_.ParallelFor(layout.num_features(), [&](int64_t i) {
       proposals[static_cast<size_t>(i)] =
-          use_hist_
-              ? FindSplitHist(static_cast<int>(i), *layout, hist, stats,
-                              bounds)
-              : FindSplitExact(features[static_cast<size_t>(i)], rows, gpairs,
-                               stats, bounds);
+          FindSplitHist(static_cast<int>(i), layout, hist, stats, bounds);
     });
     for (const auto& p : proposals) {
       if (!p.valid) continue;
@@ -472,15 +348,9 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
   left_rows.reserve(rows.size());
   right_rows.reserve(rows.size());
   for (int64_t r : rows) {
-    bool go_left;
-    if (use_hist_) {
-      const uint16_t b = binned_.At(r, best.feature);
-      go_left = (b == kMissingBin) ? best.default_left
-                                   : static_cast<int>(b) <= best.bin;
-    } else {
-      const double v = train_.At(r, best.feature);
-      go_left = std::isnan(v) ? best.default_left : v < best.threshold;
-    }
+    const uint8_t b = binned_.At(r, best.feature);
+    const bool go_left = (b == kMissingBin) ? best.default_left
+                                            : static_cast<int>(b) <= best.bin;
     (go_left ? left_rows : right_rows).push_back(r);
   }
   rows.clear();
@@ -490,7 +360,7 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
   // children cannot split anyway (depth or min_samples_leaf), in which case
   // they are passed empty histograms they will never consult.
   NodeHistogram left_hist, right_hist;
-  if (use_hist_ && depth + 1 < params_.max_depth &&
+  if (depth + 1 < params_.max_depth &&
       static_cast<int64_t>(std::max(left_rows.size(), right_rows.size())) >=
           2 * params_.min_samples_leaf) {
     const bool left_smaller = left_rows.size() <= right_rows.size();
@@ -500,7 +370,7 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
       span.Arg("rows", static_cast<int64_t>(
                            left_smaller ? left_rows.size() : right_rows.size()));
       smaller = hist_builder_->Build(
-          *layout, left_smaller ? left_rows : right_rows, gpairs);
+          layout, left_smaller ? left_rows : right_rows, gpairs);
       ++hist_nodes_direct_;
     }
     NodeHistogram larger;
@@ -529,10 +399,10 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
       right_bounds.upper = std::min(right_bounds.upper, mid);
     }
   }
-  BuildNode(tree, left_id, std::move(left_rows), depth + 1, gpairs, features,
+  BuildNode(tree, left_id, std::move(left_rows), depth + 1, gpairs,
             left_bounds, layout, std::move(left_hist));
   BuildNode(tree, right_id, std::move(right_rows), depth + 1, gpairs,
-            features, right_bounds, layout, std::move(right_hist));
+            right_bounds, layout, std::move(right_hist));
 }
 
 RegressionTree Trainer::GrowTree(const std::vector<GradientPair>& gpairs,
@@ -541,10 +411,9 @@ RegressionTree Trainer::GrowTree(const std::vector<GradientPair>& gpairs,
   RegressionTree tree;
   const NodeBounds root_bounds{-std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::infinity()};
-  HistogramLayout layout;
-  if (use_hist_) layout = HistogramLayout(bins_, features);
-  BuildNode(&tree, 0, std::move(rows), 0, gpairs, features, root_bounds,
-            use_hist_ ? &layout : nullptr, NodeHistogram());
+  const HistogramLayout layout(bins_, features);
+  BuildNode(&tree, 0, std::move(rows), 0, gpairs, root_bounds, layout,
+            NodeHistogram());
   return tree;
 }
 
@@ -579,14 +448,11 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
   train_span.Arg("rows", train_.num_rows());
   train_span.Arg("features", train_.num_features());
 
-  use_hist_ = params_.tree_method == TreeMethod::kHist;
-  if (use_hist_) {
-    MYSAWH_ASSIGN_OR_RETURN(BinnedData binned_data,
-                            BuildBinned(train_, params_.max_bins, &pool_));
-    bins_ = std::move(binned_data.bins);
-    binned_ = std::move(binned_data.matrix);
-    hist_builder_ = std::make_unique<HistogramBuilder>(bins_, binned_, &pool_);
-  }
+  MYSAWH_ASSIGN_OR_RETURN(BinnedData binned_data,
+                          BuildBinned(train_, params_.max_bins, &pool_));
+  bins_ = std::move(binned_data.bins);
+  binned_ = std::move(binned_data.matrix);
+  hist_builder_ = std::make_unique<HistogramBuilder>(bins_, binned_, &pool_);
 
   GbtModel model;
   model.feature_names_ = train_.feature_names();

@@ -31,7 +31,7 @@ class Trainer {
     bool valid = false;
     int feature = -1;
     double threshold = 0.0;
-    int bin = -1;             ///< Hist method: split is "bin <= this".
+    int bin = -1;             ///< The split is "bin <= this".
     bool default_left = true; ///< Learned missing-value direction.
     double gain = 0.0;
     double weight_left = 0.0;   ///< Unshrunk child weights (for monotone
@@ -66,15 +66,11 @@ class Trainer {
                      double threshold, int bin, const NodeBounds& bounds,
                      SplitCandidate* best) const;
 
-  SplitCandidate FindSplitExact(int feature, const std::vector<int64_t>& rows,
-                                const std::vector<GradientPair>& gpairs,
-                                const NodeStats& parent,
-                                const NodeBounds& bounds) const;
-  /// Unconstrained hist boundary scan (no monotone constraints configured,
-  /// so node bounds are always infinite and no candidate can be rejected
-  /// after scoring). Same gains, tie-breaks, and results as the generic
-  /// path through ConsiderSplit, but with the per-boundary work reduced to
-  /// the two score divisions. This is the hist-mode hot loop.
+  /// Unconstrained boundary scan (no monotone constraints configured, so
+  /// node bounds are always infinite and no candidate can be rejected after
+  /// scoring). Same gains, tie-breaks, and results as the generic path
+  /// through ConsiderSplit, but with the per-boundary work reduced to the
+  /// two score divisions. This is the training hot loop.
   SplitCandidate FindSplitHistFast(int feature, int nb,
                                    const HistEntry* slots,
                                    const NodeStats& miss,
@@ -88,14 +84,14 @@ class Trainer {
                                const NodeStats& parent,
                                const NodeBounds& bounds) const;
 
-  /// Recursively grows the subtree rooted at `node_id` over `rows`. In hist
-  /// mode `layout` is the tree's histogram layout and `hist` the node's
+  /// Recursively grows the subtree rooted at `node_id` over `rows`.
+  /// `layout` is the tree's histogram layout and `hist` the node's
   /// histogram (built lazily when empty); children inherit histograms via
-  /// the sibling-subtraction trick. In exact mode `layout` is null.
+  /// the sibling-subtraction trick.
   void BuildNode(RegressionTree* tree, int node_id, std::vector<int64_t> rows,
                  int depth, const std::vector<GradientPair>& gpairs,
-                 const std::vector<int>& features, const NodeBounds& bounds,
-                 const HistogramLayout* layout, NodeHistogram hist);
+                 const NodeBounds& bounds, const HistogramLayout& layout,
+                 NodeHistogram hist);
 
   /// The monotone constraint of a feature (0 when none configured).
   int ConstraintOf(int feature) const;
@@ -111,7 +107,6 @@ class Trainer {
   FeatureBins bins_;
   BinnedMatrix binned_;
   std::unique_ptr<HistogramBuilder> hist_builder_;
-  bool use_hist_ = false;
   int64_t hist_nodes_direct_ = 0;      ///< Histograms built from rows.
   int64_t hist_nodes_subtracted_ = 0;  ///< Histograms derived by subtraction.
   Rng rng_;

@@ -20,7 +20,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 Dataset MakeData(int rows, int features, uint64_t seed) {
   std::vector<std::string> names;
-  for (int f = 0; f < features; ++f) names.push_back("f" + std::to_string(f));
+  for (int f = 0; f < features; ++f) {
+    names.push_back(std::string("f").append(std::to_string(f)));
+  }
   Dataset data = Dataset::Create(names);
   uint64_t state = seed;
   auto next = [&state]() {

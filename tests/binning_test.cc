@@ -73,9 +73,19 @@ TEST(BinningTest, AllMissingColumn) {
   EXPECT_EQ(bins.BinFor(0, kNaN), kMissingBin);
 }
 
-TEST(BinningTest, RejectsTooFewBins) {
+TEST(BinningTest, RejectsOutOfRangeBinCounts) {
+  // Cells are bytes: bins 0..253 plus the missing sentinel.
   const Dataset ds = MakeOrdinalData();
-  EXPECT_FALSE(FeatureBins::Build(ds, 1).ok());
+  for (int max_bins : {1, 255, 65535}) {
+    EXPECT_EQ(FeatureBins::Build(ds, max_bins).status().code(),
+              StatusCode::kInvalidArgument)
+        << "max_bins=" << max_bins;
+    EXPECT_EQ(BuildBinned(ds, max_bins, nullptr).status().code(),
+              StatusCode::kInvalidArgument)
+        << "max_bins=" << max_bins;
+  }
+  EXPECT_TRUE(FeatureBins::Build(ds, kMaxBins).ok());
+  EXPECT_TRUE(BuildBinned(ds, kMaxBins, nullptr).ok());
 }
 
 TEST(BinningTest, BinnedMatrixMatchesBinFor) {
@@ -90,6 +100,35 @@ TEST(BinningTest, BinnedMatrixMatchesBinFor) {
     for (int64_t f = 0; f < 2; ++f) {
       EXPECT_EQ(matrix.At(r, f), bins.BinFor(f, ds.At(r, f)))
           << "row " << r << " feature " << f;
+    }
+  }
+}
+
+TEST(BinningTest, FusedBuildMatchesOracle) {
+  // BuildBinned must reproduce FeatureBins::Build + BinnedMatrix::Build
+  // cell for cell, at the widest resolution too (a feature with more
+  // distinct values than kMaxBins, plus missing cells).
+  Dataset ds = Dataset::Create({"ordinal", "wide", "sparse"});
+  for (int i = 0; i < 700; ++i) {
+    const double sparse = i % 3 == 0 ? kNaN : static_cast<double>(i % 11);
+    ASSERT_TRUE(ds.AddRow({static_cast<double>(i % 5),
+                           std::sin(static_cast<double>(i)) * 100.0, sparse},
+                          0.0)
+                    .ok());
+  }
+  for (int max_bins : {2, 64, kMaxBins}) {
+    const FeatureBins bins = FeatureBins::Build(ds, max_bins).value();
+    const BinnedMatrix oracle = BinnedMatrix::Build(ds, bins);
+    const BinnedData fused = BuildBinned(ds, max_bins, nullptr).value();
+    for (int64_t f = 0; f < ds.num_features(); ++f) {
+      ASSERT_EQ(fused.bins.num_bins(f), bins.num_bins(f));
+      for (int b = 0; b < bins.num_bins(f); ++b) {
+        EXPECT_EQ(fused.bins.cut(f, b), bins.cut(f, b));
+      }
+      for (int64_t r = 0; r < ds.num_rows(); ++r) {
+        ASSERT_EQ(fused.matrix.At(r, f), oracle.At(r, f))
+            << "max_bins " << max_bins << " row " << r << " feature " << f;
+      }
     }
   }
 }
@@ -112,7 +151,7 @@ TEST_P(BinningOrderTest, BinsAreMonotoneInValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(MaxBins, BinningOrderTest,
-                         ::testing::Values(2, 4, 16, 64, 256));
+                         ::testing::Values(2, 4, 16, 64, 254));
 
 }  // namespace
 }  // namespace mysawh::gbt

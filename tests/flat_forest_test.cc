@@ -37,20 +37,16 @@ Dataset MakeData(int64_t rows, uint64_t seed, double missing_rate = 0.1) {
   return ds;
 }
 
-GbtModel TrainModel(const Dataset& train, TreeMethod method,
-                    int num_trees = 20) {
+GbtModel TrainModel(const Dataset& train, int num_trees = 20) {
   GbtParams params;
-  params.tree_method = method;
   params.num_trees = num_trees;
   params.max_depth = 4;
   return GbtModel::Train(train, params).value();
 }
 
-class FlatForestMethodTest : public ::testing::TestWithParam<TreeMethod> {};
-
-TEST_P(FlatForestMethodTest, PredictRawBitIdenticalToReferenceWalker) {
+TEST(FlatForestTest, PredictRawBitIdenticalToReferenceWalker) {
   const Dataset train = MakeData(600, 1);
-  const GbtModel model = TrainModel(train, GetParam());
+  const GbtModel model = TrainModel(train);
   ASSERT_NE(model.flat_forest(), nullptr);
   const Dataset probe = MakeData(257, 2, /*missing_rate=*/0.25);
   const std::vector<double> flat = model.PredictRaw(probe).value();
@@ -63,9 +59,9 @@ TEST_P(FlatForestMethodTest, PredictRawBitIdenticalToReferenceWalker) {
   }
 }
 
-TEST_P(FlatForestMethodTest, CompiledShapeMatchesTheTrees) {
+TEST(FlatForestTest, CompiledShapeMatchesTheTrees) {
   const Dataset train = MakeData(400, 3);
-  const GbtModel model = TrainModel(train, GetParam());
+  const GbtModel model = TrainModel(train);
   const FlatForest* flat = model.flat_forest();
   ASSERT_NE(flat, nullptr);
   int64_t internal = 0, leaves = 0;
@@ -80,10 +76,6 @@ TEST_P(FlatForestMethodTest, CompiledShapeMatchesTheTrees) {
   EXPECT_EQ(flat->num_features(), model.num_features());
   EXPECT_TRUE(flat->Validate().ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(Methods, FlatForestMethodTest,
-                         ::testing::Values(TreeMethod::kHist,
-                                           TreeMethod::kExact));
 
 TEST(FlatForestTest, BinRowMatchesThresholdComparisons) {
   // A hand-built tree: bin quantization must reproduce v < t for values
@@ -117,7 +109,7 @@ TEST(FlatForestTest, BinRowMatchesThresholdComparisons) {
 
 TEST(FlatForestTest, SerializeRoundTripsBitIdentically) {
   const Dataset train = MakeData(500, 4);
-  const GbtModel model = TrainModel(train, TreeMethod::kHist);
+  const GbtModel model = TrainModel(train);
   const FlatForest* flat = model.flat_forest();
   ASSERT_NE(flat, nullptr);
   const std::string text = flat->Serialize();
@@ -133,7 +125,7 @@ TEST(FlatForestTest, SerializeRoundTripsBitIdentically) {
 
 TEST(FlatForestTest, FileRoundTripThroughChecksummedEnvelope) {
   const Dataset train = MakeData(300, 6);
-  const GbtModel model = TrainModel(train, TreeMethod::kHist, 8);
+  const GbtModel model = TrainModel(train, 8);
   const FlatForest* flat = model.flat_forest();
   ASSERT_NE(flat, nullptr);
   const fs::path dir = fs::temp_directory_path() /
@@ -171,7 +163,7 @@ TEST(FlatForestTest, TooManyDistinctThresholdsFallsBackToReference) {
 
 TEST(FlatForestTest, DeserializedModelCompilesAndMatches) {
   const Dataset train = MakeData(400, 7);
-  const GbtModel model = TrainModel(train, TreeMethod::kHist);
+  const GbtModel model = TrainModel(train);
   const GbtModel restored =
       GbtModel::Deserialize(model.Serialize()).value();
   ASSERT_NE(restored.flat_forest(), nullptr);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@ namespace mysawh::gbt {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Deterministic synthetic data: a nonlinear target over five features
 /// with ~10% missing cells. A hand-rolled LCG keeps the fixture stable
@@ -51,9 +53,8 @@ Dataset MakeData(int64_t rows) {
   return ds;
 }
 
-GbtParams BaseParams(TreeMethod method) {
+GbtParams BaseParams() {
   GbtParams params;
-  params.tree_method = method;
   params.num_trees = 12;
   params.max_depth = 4;
   params.subsample = 0.8;
@@ -62,13 +63,11 @@ GbtParams BaseParams(TreeMethod method) {
   return params;
 }
 
-class DeterminismTest : public ::testing::TestWithParam<TreeMethod> {};
-
-TEST_P(DeterminismTest, BitIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, BitIdenticalAcrossThreadCounts) {
   // 3000 rows exceeds one 2048-row histogram chunk, so the chunked
   // reduction is genuinely exercised (not just the single-chunk path).
   const Dataset train = MakeData(3000);
-  GbtParams params = BaseParams(GetParam());
+  GbtParams params = BaseParams();
   params.num_threads = 1;
   const std::string reference =
       GbtModel::Train(train, params).value().Serialize();
@@ -80,17 +79,13 @@ TEST_P(DeterminismTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, DeterminismTest,
-                         ::testing::Values(TreeMethod::kHist,
-                                           TreeMethod::kExact));
-
 TEST(DeterminismTest, TelemetryBitIdenticalAcrossThreadCounts) {
   // The telemetry artifact is part of the determinism contract: streams
   // buffer per producer and serialize in sorted label order, so the JSONL
   // must be byte-identical for any worker count.
   const Dataset train = MakeData(3000);
   const Dataset valid = MakeData(500);
-  GbtParams params = BaseParams(TreeMethod::kHist);
+  GbtParams params = BaseParams();
   std::string reference;
   for (int threads : {1, 2, 8}) {
     params.num_threads = threads;
@@ -116,7 +111,7 @@ TEST(DeterminismTest, TelemetryRecordingDoesNotChangeModel) {
   // telemetry on equals the plain run bit for bit.
   const Dataset train = MakeData(1500);
   const Dataset valid = MakeData(300);
-  const GbtParams params = BaseParams(TreeMethod::kHist);
+  const GbtParams params = BaseParams();
   const std::string plain =
       GbtModel::Train(train, params).value().Serialize();
   Telemetry::Global().Enable();
@@ -132,7 +127,7 @@ TEST(DeterminismTest, LiveMonitorDoesNotChangeModelOrTelemetry) {
   // artifact, because nothing in the monitor feeds back into training.
   const Dataset train = MakeData(1500);
   const Dataset valid = MakeData(300);
-  const GbtParams params = BaseParams(TreeMethod::kHist);
+  const GbtParams params = BaseParams();
 
   Telemetry::Global().Enable();
   const std::string plain_model =
@@ -159,23 +154,59 @@ TEST(DeterminismTest, LiveMonitorDoesNotChangeModelOrTelemetry) {
   EXPECT_EQ(monitored_telemetry, plain_telemetry);
 }
 
+/// Re-deserializes `model` with every split threshold moved one ulp up, so
+/// the thresholds are no longer the training cuts: the shape of a model
+/// file written by another trainer.
+GbtModel NudgeThresholds(const GbtModel& model) {
+  std::istringstream in(model.Serialize());
+  std::string text;
+  for (std::string line; std::getline(in, line);) {
+    Result<TreeNode> node = TreeNodeFromText(line);
+    if (node.ok() && !node.value().IsLeaf()) {
+      TreeNode nudged = node.value();
+      nudged.threshold = std::nextafter(nudged.threshold, kInf);
+      line = TreeNodeToText(nudged);
+    }
+    text += line + "\n";
+  }
+  return GbtModel::Deserialize(text).value();
+}
+
 TEST(DeterminismTest, FlatPredictBitIdenticalToReferenceAcrossThreadCounts) {
   // The compiled flat-forest kernel must reproduce the reference pointer
   // walker bit for bit — blocks write disjoint slots and every row sums
   // its trees in ascending order, so the worker count must not matter.
+  // Checked on the trained model and on a copy whose thresholds are not
+  // training cuts, probed exactly on and one ulp either side of every
+  // threshold.
   const Dataset train = MakeData(1500);
-  const Dataset probe = MakeData(333);
-  for (TreeMethod method : {TreeMethod::kHist, TreeMethod::kExact}) {
-    const GbtModel model =
-        GbtModel::Train(train, BaseParams(method)).value();
-    ASSERT_NE(model.flat_forest(), nullptr);
+  const GbtModel trained = GbtModel::Train(train, BaseParams()).value();
+  const GbtModel nudged = NudgeThresholds(trained);
+  ASSERT_NE(nudged.Serialize(), trained.Serialize());
+  for (const GbtModel* model : {&trained, &nudged}) {
+    ASSERT_NE(model->flat_forest(), nullptr);
+    Dataset probe = MakeData(333);
+    for (const RegressionTree& tree : model->trees()) {
+      for (int i = 0; i < tree.num_nodes(); ++i) {
+        const TreeNode& node = tree.node(i);
+        if (node.IsLeaf()) continue;
+        for (const double v : {std::nextafter(node.threshold, -kInf),
+                               node.threshold,
+                               std::nextafter(node.threshold, kInf)}) {
+          std::vector<double> row(static_cast<size_t>(probe.num_features()),
+                                  v);
+          row[static_cast<size_t>(i) % row.size()] = kNaN;
+          ASSERT_TRUE(probe.AddRow(row, 0.0).ok());
+        }
+      }
+    }
     const std::vector<double> reference =
-        model.PredictRawReference(probe).value();
+        model->PredictRawReference(probe).value();
     for (int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
       std::vector<double> flat(static_cast<size_t>(probe.num_rows()));
-      model.flat_forest()->PredictRaw(probe, model.base_score(), flat.data(),
-                                      &pool);
+      model->flat_forest()->PredictRaw(probe, model->base_score(),
+                                       flat.data(), &pool);
       ASSERT_EQ(flat.size(), reference.size());
       for (size_t r = 0; r < flat.size(); ++r) {
         EXPECT_EQ(flat[r], reference[r])
@@ -191,8 +222,7 @@ TEST(DeterminismTest, FlatStagedPredictionsMatchReferenceWalker) {
   // bit-identical to walking the trees directly.
   const Dataset train = MakeData(1200);
   const Dataset probe = MakeData(200);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const auto staged = model.PredictStaged(probe, 5).value();
   // Reference stages: per-row raw accumulation over tree prefixes.
@@ -223,8 +253,7 @@ TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
   // reference divides per visit), so attributions are bit-identical for
   // any worker count.
   const Dataset train = MakeData(1000);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const explain::TreeShap shap(&model);
   // A handful of rows keeps ShapBatch on the per-row recursion; several
@@ -256,8 +285,7 @@ TEST(DeterminismTest, AuditLogBitIdenticalAcrossThreadCounts) {
   // many workers predicted or explained the rows.
   const Dataset train = MakeData(1500);
   const Dataset probe = MakeData(300);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   const explain::TreeShap shap(&model);
   std::string reference;
   for (int threads : {1, 2, 8}) {
@@ -285,8 +313,7 @@ TEST(DeterminismTest, AuditAndDriftObservationDoesNotChangePredictions) {
   // predictions to a plain one.
   const Dataset train = MakeData(1500);
   const Dataset probe = MakeData(400);
-  const GbtModel model =
-      GbtModel::Train(train, BaseParams(TreeMethod::kHist)).value();
+  const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   const std::vector<double> plain = model.Predict(probe).value();
   const core::DriftBaseline baseline =
       core::BuildDriftBaseline(train, model.Predict(train).value(), 10)
@@ -317,7 +344,7 @@ TEST(DeterminismTest, FastSplitPathMatchesGenericPath) {
   // empty constraints take the specialized array scan. Both must produce
   // the same model bit for bit.
   const Dataset train = MakeData(1500);
-  GbtParams params = BaseParams(TreeMethod::kHist);
+  GbtParams params = BaseParams();
   const std::string fast = GbtModel::Train(train, params).value().Serialize();
   params.monotone_constraints.assign(5, 0);
   const std::string generic =

@@ -58,25 +58,6 @@ TEST(GbtModelTest, FitsNonlinearRegression) {
   EXPECT_LT(Rmse(test.labels(), preds), 0.15);
 }
 
-TEST(GbtModelTest, ExactAndHistAgreeClosely) {
-  const Dataset train = MakeRegressionData(800, 3);
-  const Dataset test = MakeRegressionData(200, 4);
-  GbtParams hist;
-  hist.num_trees = 60;
-  hist.tree_method = TreeMethod::kHist;
-  hist.max_bins = 256;
-  GbtParams exact = hist;
-  exact.tree_method = TreeMethod::kExact;
-  const auto hist_preds =
-      GbtModel::Train(train, hist).value().Predict(test).value();
-  const auto exact_preds =
-      GbtModel::Train(train, exact).value().Predict(test).value();
-  // Both should fit well; they need not be identical.
-  EXPECT_LT(Rmse(test.labels(), hist_preds), 0.2);
-  EXPECT_LT(Rmse(test.labels(), exact_preds), 0.2);
-  EXPECT_LT(Rmse(hist_preds, exact_preds), 0.15);
-}
-
 TEST(GbtModelTest, ClassifiesSeparableData) {
   const Dataset train = MakeClassificationData(2000, 5);
   const Dataset test = MakeClassificationData(500, 6);

@@ -24,17 +24,14 @@ Dataset MakeData(int64_t n, uint64_t seed) {
   return ds;
 }
 
-GbtParams BaseParams(TreeMethod method) {
+GbtParams BaseParams() {
   GbtParams params;
   params.num_trees = 40;
   params.max_depth = 4;
-  params.tree_method = method;
   return params;
 }
 
-class GbtInvarianceTest : public ::testing::TestWithParam<TreeMethod> {};
-
-TEST_P(GbtInvarianceTest, FeatureOrderInvariance) {
+TEST(GbtInvarianceTest, FeatureOrderInvariance) {
   // Permuting feature columns must not change predictions (deterministic
   // tie-breaks could differ only on exact gain ties, which the continuous
   // data avoids).
@@ -47,7 +44,7 @@ TEST_P(GbtInvarianceTest, FeatureOrderInvariance) {
                             original.label(r))
                     .ok());
   }
-  const GbtParams params = BaseParams(GetParam());
+  const GbtParams params = BaseParams();
   const GbtModel model_a = GbtModel::Train(original, params).value();
   const GbtModel model_b = GbtModel::Train(permuted, params).value();
   for (int64_t r = 0; r < 50; ++r) {
@@ -59,7 +56,7 @@ TEST_P(GbtInvarianceTest, FeatureOrderInvariance) {
   }
 }
 
-TEST_P(GbtInvarianceTest, LabelShiftEquivariance) {
+TEST(GbtInvarianceTest, LabelShiftEquivariance) {
   // Squared error: shifting every label by c shifts every prediction by c.
   const Dataset original = MakeData(800, 2);
   Dataset shifted = original;
@@ -67,7 +64,7 @@ TEST_P(GbtInvarianceTest, LabelShiftEquivariance) {
   for (int64_t r = 0; r < shifted.num_rows(); ++r) {
     shifted.set_label(r, shifted.label(r) + c);
   }
-  const GbtParams params = BaseParams(GetParam());
+  const GbtParams params = BaseParams();
   const GbtModel model_a = GbtModel::Train(original, params).value();
   const GbtModel model_b = GbtModel::Train(shifted, params).value();
   for (int64_t r = 0; r < 50; ++r) {
@@ -76,7 +73,7 @@ TEST_P(GbtInvarianceTest, LabelShiftEquivariance) {
   }
 }
 
-TEST_P(GbtInvarianceTest, MonotoneFeatureTransformInvariance) {
+TEST(GbtInvarianceTest, MonotoneFeatureTransformInvariance) {
   // Strictly increasing transforms of a feature leave split *membership*
   // unchanged, so predictions on the (transformed) training rows match.
   const Dataset original = MakeData(800, 3);
@@ -84,7 +81,7 @@ TEST_P(GbtInvarianceTest, MonotoneFeatureTransformInvariance) {
   for (int64_t r = 0; r < transformed.num_rows(); ++r) {
     transformed.Set(r, 0, std::exp(original.At(r, 0)));
   }
-  const GbtParams params = BaseParams(GetParam());
+  const GbtParams params = BaseParams();
   const GbtModel model_a = GbtModel::Train(original, params).value();
   const GbtModel model_b = GbtModel::Train(transformed, params).value();
   for (int64_t r = 0; r < 100; ++r) {
@@ -93,14 +90,14 @@ TEST_P(GbtInvarianceTest, MonotoneFeatureTransformInvariance) {
   }
 }
 
-TEST_P(GbtInvarianceTest, DuplicatedRowsScaleInvariance) {
+TEST(GbtInvarianceTest, DuplicatedRowsScaleInvariance) {
   // Training on the dataset duplicated once leaves the fit unchanged
   // (every gradient statistic doubles, ratios are preserved; only
   // regularization constants break exactness, hence the loose tolerance).
   const Dataset original = MakeData(600, 4);
   Dataset doubled = original;
   ASSERT_TRUE(doubled.Append(original).ok());
-  GbtParams params = BaseParams(GetParam());
+  GbtParams params = BaseParams();
   params.reg_lambda = 0.0;
   params.min_samples_leaf = 1;
   const GbtModel model_a = GbtModel::Train(original, params).value();
@@ -114,13 +111,9 @@ TEST_P(GbtInvarianceTest, DuplicatedRowsScaleInvariance) {
   EXPECT_LT(max_diff, 0.05);
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, GbtInvarianceTest,
-                         ::testing::Values(TreeMethod::kHist,
-                                           TreeMethod::kExact));
-
 TEST(GbtPropertiesTest, FlatForestEquivalentToReferenceOverRandomForests) {
-  // Property: for any trained forest (either tree method, varying shapes,
-  // missing values in the probe), the compiled flat kernel and the
+  // Property: for any trained forest (varying shapes, missing values in
+  // the probe), the compiled flat kernel and the
   // reference pointer walker return the SAME doubles — bit-identical, not
   // merely close.
   for (uint64_t seed = 100; seed < 106; ++seed) {
@@ -134,8 +127,6 @@ TEST(GbtPropertiesTest, FlatForestEquivalentToReferenceOverRandomForests) {
           train.AddRow({a, b, c}, std::sin(a) + b - c * c).ok());
     }
     GbtParams params;
-    params.tree_method =
-        seed % 2 == 0 ? TreeMethod::kHist : TreeMethod::kExact;
     params.num_trees = 5 + static_cast<int>(seed % 3) * 10;
     params.max_depth = 2 + static_cast<int>(seed % 4);
     params.subsample = seed % 2 == 0 ? 1.0 : 0.7;
@@ -171,7 +162,7 @@ TEST(GbtPropertiesTest, PredictionsWithinLabelRange) {
     lo = std::min(lo, y);
     hi = std::max(hi, y);
   }
-  GbtParams params = BaseParams(TreeMethod::kHist);
+  GbtParams params = BaseParams();
   const GbtModel model = GbtModel::Train(train, params).value();
   Rng rng(6);
   for (int i = 0; i < 200; ++i) {

@@ -130,7 +130,7 @@ void RefScanFeature(const Dataset& data, const FeatureBins& bins, int feature,
   double parent_g = 0.0, parent_h = 0.0;
   int64_t parent_c = 0;
   for (int64_t r = 0; r < data.num_rows(); ++r) {
-    const uint16_t b = bins.BinFor(feature, data.At(r, feature));
+    const uint8_t b = bins.BinFor(feature, data.At(r, feature));
     HistEntry& e = b == kMissingBin ? miss : slots[b];
     e.sum_g += gpairs[static_cast<size_t>(r)].grad;
     e.sum_h += gpairs[static_cast<size_t>(r)].hess;
@@ -186,7 +186,6 @@ TEST(HistogramTest, HistSplitDecisionMatchesReferenceScan) {
   // Exact gradients: base_score 0 and squared error make the root
   // gradient of row r equal to -label(r), an integer.
   GbtParams params;
-  params.tree_method = TreeMethod::kHist;
   params.num_trees = 1;
   params.max_depth = 1;
   params.learning_rate = 1.0;

@@ -38,13 +38,10 @@ double MaxDecrease(const GbtModel& model, double x1) {
   return worst;
 }
 
-class MonotoneTest : public ::testing::TestWithParam<TreeMethod> {};
-
-TEST_P(MonotoneTest, IncreasingConstraintHolds) {
+TEST(MonotoneConstraintsTest, IncreasingConstraintHolds) {
   const Dataset train = MakeData(3000, 1);
   GbtParams params;
   params.num_trees = 80;
-  params.tree_method = GetParam();
   params.monotone_constraints = {+1, 0};
   const GbtModel model = GbtModel::Train(train, params).value();
   for (double x1 : {-0.8, 0.0, 0.8}) {
@@ -52,7 +49,7 @@ TEST_P(MonotoneTest, IncreasingConstraintHolds) {
   }
 }
 
-TEST_P(MonotoneTest, DecreasingConstraintHolds) {
+TEST(MonotoneConstraintsTest, DecreasingConstraintHolds) {
   // Flip the target so the true trend is decreasing.
   Dataset train = MakeData(3000, 2);
   for (int64_t i = 0; i < train.num_rows(); ++i) {
@@ -60,7 +57,6 @@ TEST_P(MonotoneTest, DecreasingConstraintHolds) {
   }
   GbtParams params;
   params.num_trees = 80;
-  params.tree_method = GetParam();
   params.monotone_constraints = {-1, 0};
   const GbtModel model = GbtModel::Train(train, params).value();
   // Non-increasing: the negated-decrease check.
@@ -74,10 +70,6 @@ TEST_P(MonotoneTest, DecreasingConstraintHolds) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Methods, MonotoneTest,
-                         ::testing::Values(TreeMethod::kHist,
-                                           TreeMethod::kExact));
 
 TEST(MonotoneConstraintsTest, UnconstrainedModelViolates) {
   // Sanity check that the test data actually tempts the model to be
@@ -107,6 +99,19 @@ TEST(MonotoneConstraintsTest, ValidatesLengthAndValues) {
   EXPECT_FALSE(GbtModel::Train(train, params).ok());
   params.monotone_constraints = {+2, 0};
   EXPECT_FALSE(params.Validate().ok());
+}
+
+TEST(MonotoneConstraintsTest, ValidatesMaxBinsRange) {
+  // Bins are byte cells: 254 is the widest trainable resolution, and
+  // anything outside [2, 254] is rejected before training starts.
+  GbtParams params;
+  params.max_bins = 254;
+  EXPECT_TRUE(params.Validate().ok());
+  for (int max_bins : {1, 255, 65535}) {
+    params.max_bins = max_bins;
+    EXPECT_EQ(params.Validate().code(), StatusCode::kInvalidArgument)
+        << "max_bins=" << max_bins;
+  }
 }
 
 TEST(MonotoneConstraintsTest, LogisticObjectiveRespectsConstraint) {

@@ -178,7 +178,7 @@ TEST_F(TraceTest, CostAttributionAnnotatesSpans) {
     // bytes tracked on its own thread during its lifetime.
     TrackAlloc(AllocCategory::kCheckpoint, 2048);
     volatile double sink = 0;  // A little CPU so cpu_us is well-defined.
-    for (int i = 0; i < 50000; ++i) sink += i * 0.5;
+    for (int i = 0; i < 50000; ++i) sink = sink + i * 0.5;
   }
   const auto events = Tracer::Global().Snapshot();
   ASSERT_EQ(events.size(), 1u);

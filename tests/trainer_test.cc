@@ -26,17 +26,14 @@ Dataset MakeStepData() {
   return ds;
 }
 
-class TrainerSplitTest : public ::testing::TestWithParam<TreeMethod> {};
-
-TEST_P(TrainerSplitTest, FindsTheStepBoundary) {
+TEST(TrainerSplitTest, FindsTheStepBoundary) {
   const Dataset train = MakeStepData();
   GbtParams params;
   params.num_trees = 1;
   params.max_depth = 1;
   params.learning_rate = 1.0;
   params.reg_lambda = 0.0;
-  params.tree_method = GetParam();
-  params.max_bins = 256;
+  params.max_bins = 254;
   const GbtModel model = GbtModel::Train(train, params).value();
   ASSERT_EQ(model.trees().size(), 1u);
   const RegressionTree& tree = model.trees()[0];
@@ -52,7 +49,7 @@ TEST_P(TrainerSplitTest, FindsTheStepBoundary) {
   EXPECT_NEAR(root.gain, 50.0, 1.0);
 }
 
-TEST_P(TrainerSplitTest, MissingRowsRoutedToBetterSide) {
+TEST(TrainerSplitTest, MissingRowsRoutedToBetterSide) {
   // Missing x implies label +1 (same as the right side); the learned
   // default direction must send NaN right.
   Dataset train = Dataset::Create({"x"});
@@ -65,7 +62,6 @@ TEST_P(TrainerSplitTest, MissingRowsRoutedToBetterSide) {
   params.num_trees = 1;
   params.max_depth = 1;
   params.learning_rate = 1.0;
-  params.tree_method = GetParam();
   const GbtModel model = GbtModel::Train(train, params).value();
   const RegressionTree& tree = model.trees()[0];
   ASSERT_EQ(tree.num_nodes(), 3);
@@ -74,7 +70,7 @@ TEST_P(TrainerSplitTest, MissingRowsRoutedToBetterSide) {
   EXPECT_GT(model.PredictRow(missing_row), 0.5);
 }
 
-TEST_P(TrainerSplitTest, GammaBlocksWeakSplits) {
+TEST(TrainerSplitTest, GammaBlocksWeakSplits) {
   // A weak step (levels +-0.1 -> max gain = 0.5) is below gamma = 2.
   Dataset train = Dataset::Create({"x"});
   for (int i = 0; i < 100; ++i) {
@@ -86,7 +82,6 @@ TEST_P(TrainerSplitTest, GammaBlocksWeakSplits) {
   params.max_depth = 3;
   params.reg_lambda = 0.0;
   params.gamma = 2.0;
-  params.tree_method = GetParam();
   const GbtModel model = GbtModel::Train(train, params).value();
   EXPECT_EQ(model.trees()[0].num_nodes(), 1) << "no split should pass gamma";
   params.gamma = 0.0;
@@ -94,13 +89,12 @@ TEST_P(TrainerSplitTest, GammaBlocksWeakSplits) {
   EXPECT_GT(unblocked.trees()[0].num_nodes(), 1);
 }
 
-TEST_P(TrainerSplitTest, MinSamplesLeafRespected) {
+TEST(TrainerSplitTest, MinSamplesLeafRespected) {
   const Dataset train = MakeStepData();
   GbtParams params;
   params.num_trees = 1;
   params.max_depth = 6;
   params.min_samples_leaf = 20;
-  params.tree_method = GetParam();
   const GbtModel model = GbtModel::Train(train, params).value();
   const RegressionTree& tree = model.trees()[0];
   // Count rows reaching each leaf.
@@ -115,24 +109,19 @@ TEST_P(TrainerSplitTest, MinSamplesLeafRespected) {
   }
 }
 
-TEST_P(TrainerSplitTest, MinChildWeightRespected) {
+TEST(TrainerSplitTest, MinChildWeightRespected) {
   const Dataset train = MakeStepData();
   GbtParams params;
   params.num_trees = 1;
   params.max_depth = 6;
   // Squared error: hessian = 1 per row, so cover == row count.
   params.min_child_weight = 30.0;
-  params.tree_method = GetParam();
   const GbtModel model = GbtModel::Train(train, params).value();
   const RegressionTree& tree = model.trees()[0];
   for (int i = 0; i < tree.num_nodes(); ++i) {
     EXPECT_GE(tree.node(i).cover, 30.0 - 1e-9);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Methods, TrainerSplitTest,
-                         ::testing::Values(TreeMethod::kHist,
-                                           TreeMethod::kExact));
 
 TEST(TrainerTest, L2ShrinksLeafValues) {
   const Dataset train = MakeStepData();
@@ -141,7 +130,7 @@ TEST(TrainerTest, L2ShrinksLeafValues) {
   params.max_depth = 1;
   params.learning_rate = 1.0;
   params.reg_lambda = 50.0;  // 50 rows per leaf -> weight halves
-  params.tree_method = TreeMethod::kExact;  // exact 50/50 split
+  params.max_bins = 128;  // one bin per distinct x: an exact 50/50 split
   const GbtModel model = GbtModel::Train(train, params).value();
   const RegressionTree& tree = model.trees()[0];
   ASSERT_EQ(tree.num_nodes(), 3);
@@ -162,7 +151,6 @@ TEST(TrainerTest, HistNodeCountersReportedThroughRegistry) {
   GbtParams params;
   params.num_trees = 4;
   params.max_depth = 3;  // deep enough for the sibling-subtraction trick
-  params.tree_method = TreeMethod::kHist;
 
   auto train_once = [&] {
     const int64_t d0 = direct->Value();
@@ -177,26 +165,9 @@ TEST(TrainerTest, HistNodeCountersReportedThroughRegistry) {
   const auto second = train_once();
   EXPECT_EQ(first, second) << "training is deterministic, so the registry "
                               "deltas must match run to run";
-  EXPECT_GT(first[0], 0) << "hist mode accumulates node histograms";
+  EXPECT_GT(first[0], 0) << "training accumulates node histograms";
   EXPECT_GT(first[1], 0) << "depth 3 must exercise sibling subtraction";
   EXPECT_EQ(first[2], 4) << "one trees_grown increment per boosted tree";
-}
-
-TEST(TrainerTest, ExactModeLeavesHistCountersUntouched) {
-  auto& registry = MetricsRegistry::Global();
-  Counter* direct = registry.GetCounter("gbt.train.hist_nodes_direct");
-  Counter* subtracted =
-      registry.GetCounter("gbt.train.hist_nodes_subtracted");
-  const int64_t d0 = direct->Value();
-  const int64_t s0 = subtracted->Value();
-  const Dataset train = MakeStepData();
-  GbtParams params;
-  params.num_trees = 2;
-  params.max_depth = 3;
-  params.tree_method = TreeMethod::kExact;
-  ASSERT_TRUE(GbtModel::Train(train, params).ok());
-  EXPECT_EQ(direct->Value(), d0);
-  EXPECT_EQ(subtracted->Value(), s0);
 }
 
 TEST(TrainerTest, L1ZeroesSmallLeaves) {
