@@ -5,10 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <limits>
 
 #include "bench/perf_json_main.h"
 #include "core/audit_log.h"
 #include "core/drift_monitor.h"
+#include "core/evaluation.h"
 #include "data/dataset.h"
 #include "gbt/binning.h"
 #include "gbt/gbt_model.h"
@@ -98,6 +100,33 @@ BENCHMARK(BM_TrainHist)
     ->Args({2000, 64})
     ->Args({8000, 64})
     ->Unit(benchmark::kMillisecond);
+
+/// One data-driven study fit: 1,800 rows x 60 features, the shape of a
+/// study cell's training partition, at 64 bins with ~25% missing cells and
+/// the study's DD settings (300 trees, subsample 0.9, colsample 0.8). Unlike
+/// BM_TrainHist it pays for the row subsample, the missing-value direction
+/// scan and the score update of out-of-sample rows.
+void BM_TrainStudyShape(benchmark::State& state) {
+  constexpr int64_t kRows = 1800;
+  constexpr int64_t kFeatures = 60;
+  Dataset data = MakeData(kRows, kFeatures, 3);
+  Rng rng(5);
+  for (int64_t r = 0; r < kRows; ++r) {
+    for (int64_t f = 0; f < kFeatures; ++f) {
+      if (rng.Uniform(0, 1) < 0.25) {
+        data.Set(r, f, std::numeric_limits<double>::quiet_NaN());
+      }
+    }
+  }
+  const GbtParams params = mysawh::core::DefaultGbtParams(
+      mysawh::core::Outcome::kQol, mysawh::core::Approach::kDataDriven);
+  for (auto _ : state) {
+    auto model = GbtModel::Train(data, params);
+    benchmark::DoNotOptimize(model);
+  }
+  state.SetItemsProcessed(state.iterations() * params.num_trees);
+}
+BENCHMARK(BM_TrainStudyShape)->Unit(benchmark::kMillisecond);
 
 /// The tracing-enabled twin of BM_TrainHist/2000/64: every span records an
 /// event, so comparing against the disabled run bounds the observability

@@ -213,10 +213,22 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
     outcomes_by_cell.emplace_back(Status::Internal("cell never ran"));
   }
   std::vector<CellTiming> timings_by_cell(jobs.size());
-  pool.ParallelFor(static_cast<int64_t>(jobs.size()), [&](int64_t i) {
-    const CellJob& job = jobs[static_cast<size_t>(i)];
-    auto& slot = outcomes_by_cell[static_cast<size_t>(i)];
-    CellTiming& timing = timings_by_cell[static_cast<size_t>(i)];
+  // Longest first: a DD cell costs about five KD cells, so the DD cells are
+  // dispatched before the KD cells and the short ones fill in behind them.
+  // Slots stay indexed by grid position, so only the start order changes.
+  std::vector<size_t> dispatch_order;
+  dispatch_order.reserve(jobs.size());
+  for (const Approach approach :
+       {Approach::kDataDriven, Approach::kKnowledgeDriven}) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i].approach == approach) dispatch_order.push_back(i);
+    }
+  }
+  pool.ParallelFor(static_cast<int64_t>(jobs.size()), [&](int64_t k) {
+    const size_t i = dispatch_order[static_cast<size_t>(k)];
+    const CellJob& job = jobs[i];
+    auto& slot = outcomes_by_cell[i];
+    CellTiming& timing = timings_by_cell[i];
     const StudyCellKey key{job.outcome, job.approach, job.with_fi};
     // Span names are dynamic, so build one only when tracing is on (the
     // disabled fast path must not allocate).

@@ -17,7 +17,7 @@ constexpr int64_t kHistChunkRows = 2048;
 /// all selected features. Per-feature slot base pointers are hoisted so
 /// the inner loop is load/add/store per feature.
 void AccumulateCells(const HistogramLayout& layout, const BinnedMatrix& binned,
-                     const std::vector<int64_t>& rows,
+                     std::span<const int64_t> rows,
                      const std::vector<GradientPair>& gpairs, int64_t begin,
                      int64_t end, NodeHistogram* out) {
   const int* feats = layout.features().data();
@@ -79,7 +79,7 @@ NodeHistogram NodeHistogram::Subtract(NodeHistogram parent,
 }
 
 NodeHistogram HistogramBuilder::Build(
-    const HistogramLayout& layout, const std::vector<int64_t>& rows,
+    const HistogramLayout& layout, std::span<const int64_t> rows,
     const std::vector<GradientPair>& gpairs) const {
   NodeHistogram out(layout);
   const auto n = static_cast<int64_t>(rows.size());

@@ -2,6 +2,7 @@
 #define MYSAWH_GBT_HISTOGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gbt/binning.h"
@@ -103,7 +104,7 @@ class HistogramBuilder {
 
   /// Accumulates the histogram of `rows` for every feature in `layout`.
   NodeHistogram Build(const HistogramLayout& layout,
-                      const std::vector<int64_t>& rows,
+                      std::span<const int64_t> rows,
                       const std::vector<GradientPair>& gpairs) const;
 
  private:

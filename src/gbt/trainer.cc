@@ -16,6 +16,11 @@ namespace {
 
 constexpr double kMinSplitGain = 1e-10;
 
+/// Rows per task of the per-row gradient and score loops: one std::function
+/// call per chunk instead of one per row. The loops write disjoint slots,
+/// so the chunking never affects results.
+constexpr int64_t kRowChunk = 1024;
+
 /// Training instruments. The histogram-pipeline node counters moved here
 /// from the old ad-hoc `TrainingLog` fields, so every counter in the
 /// process reads through one registry (docs/observability.md).
@@ -191,31 +196,34 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
   // missing-left wins the tie-break, so the second direction is skipped.
   const bool no_miss =
       miss.count == 0 && miss.sum_g == 0.0 && miss.sum_h == 0.0;
-  double best_gain = kMinSplitGain;
-  int best_bin = -1;
-  bool best_dir = true;
   // Array form: prefix sums first, then a gain loop whose iterations are
   // independent, so the divisions (the per-boundary cost) pipeline instead
   // of serializing behind branches. Counts are carried as doubles (exact
   // for any realistic row count) to keep the loop in one vectorizable
-  // domain. Empty bins duplicate their predecessor's prefix and thus its
-  // gain; the strict-> argmax keeps the earlier bin, which reproduces
-  // ConsiderSplit's skip of empty boundaries.
-  const int nbound = nb - 1;
+  // domain. Only occupied boundaries are kept: an empty bin repeats its
+  // predecessor's prefix and the generic scan skips it ("no boundary
+  // change"), so the prefix pass compacts the occupied ones, with their
+  // bin index, into the first `m` entries. Empty bins still feed the
+  // running sums, since a subtracted histogram may leave a rounding
+  // residue in a zero-count slot.
   double pg[kMaxBins], ph[kMaxBins], pc[kMaxBins];
-  double own[kMaxBins];
+  int bin[kMaxBins];
   double gain_l[kMaxBins], gain_r[kMaxBins];
+  int m = 0;
   {
     double ag = 0.0, ah = 0.0;
     int64_t ac = 0;
-    for (int b = 0; b < nbound; ++b) {
+    for (int b = 0; b + 1 < nb; ++b) {
       ag += slots[b].sum_g;
       ah += slots[b].sum_h;
       ac += slots[b].count;
-      pg[b] = ag;
-      ph[b] = ah;
-      pc[b] = static_cast<double>(ac);
-      own[b] = static_cast<double>(slots[b].count);
+      pg[m] = ag;
+      ph[m] = ah;
+      pc[m] = static_cast<double>(ac);
+      bin[m] = b;
+      m += slots[b].count != 0 ? 1 : 0;
+      // Every present row is on the left: no later bin is occupied.
+      if (ac == present) break;
     }
   }
   const double msl_d = static_cast<double>(msl);
@@ -224,81 +232,80 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
   const double miss_h = miss.sum_h;
   const double miss_c = static_cast<double>(miss.count);
   const double neg_inf = -std::numeric_limits<double>::infinity();
-  for (int b = 0; b < nbound; ++b) {  // Missing goes left.
-    const double gl = pg[b] + miss_g;
-    const double hl = ph[b] + miss_h;
-    const double cl = pc[b] + miss_c;
-    const double shr = hsub - ph[b];
-    const double scr = present_d - pc[b];
+  for (int i = 0; i < m; ++i) {  // Missing goes left.
+    const double gl = pg[i] + miss_g;
+    const double hl = ph[i] + miss_h;
+    const double cl = pc[i] + miss_c;
+    const double shr = hsub - ph[i];
+    const double scr = present_d - pc[i];
     const double gain =
-        0.5 * (score(gl, hl) + score(gsub - pg[b], shr) - parent_score) -
+        0.5 * (score(gl, hl) + score(gsub - pg[i], shr) - parent_score) -
         gamma;
-    // own[b] == 0 boundaries are skipped by the generic scan ("no boundary
-    // change"), so mask them here for identical decisions.
-    const bool ok = own[b] > 0.0 && cl >= msl_d && scr >= msl_d &&
-                    hl >= mcw && shr >= mcw;
-    gain_l[b] = ok ? gain : neg_inf;
+    const bool ok = cl >= msl_d && scr >= msl_d && hl >= mcw && shr >= mcw;
+    gain_l[i] = ok ? gain : neg_inf;
   }
   if (!no_miss) {
-    for (int b = 0; b < nbound; ++b) {  // Missing goes right.
-      const double sgr = gsub - pg[b];
-      const double shr = hsub - ph[b];
+    for (int i = 0; i < m; ++i) {  // Missing goes right.
+      const double sgr = gsub - pg[i];
+      const double shr = hsub - ph[i];
       const double gr = sgr + miss_g;
       const double hr = shr + miss_h;
-      const double cr = (present_d - pc[b]) + miss_c;
+      const double cr = (present_d - pc[i]) + miss_c;
       const double gain =
-          0.5 * (score(pg[b], ph[b]) + score(gr, hr) - parent_score) - gamma;
-      const bool ok = own[b] > 0.0 && pc[b] >= msl_d && cr >= msl_d &&
-                      ph[b] >= mcw && hr >= mcw;
-      gain_r[b] = ok ? gain : neg_inf;
+          0.5 * (score(pg[i], ph[i]) + score(gr, hr) - parent_score) - gamma;
+      const bool ok = pc[i] >= msl_d && cr >= msl_d && ph[i] >= mcw &&
+                      hr >= mcw;
+      gain_r[i] = ok ? gain : neg_inf;
     }
   }
   // Strict >: bins ascend and missing-left is checked first, so keeping the
   // incumbent on ties reproduces ConsiderSplit's smaller-threshold /
   // missing-left preference.
-  for (int b = 0; b < nbound; ++b) {
-    if (gain_l[b] > best_gain) {
-      best_gain = gain_l[b];
-      best_bin = b;
+  double best_gain = kMinSplitGain;
+  int best = -1;
+  bool best_dir = true;
+  for (int i = 0; i < m; ++i) {
+    if (gain_l[i] > best_gain) {
+      best_gain = gain_l[i];
+      best = i;
       best_dir = true;
     }
-    if (!no_miss && gain_r[b] > best_gain) {
-      best_gain = gain_r[b];
-      best_bin = b;
+    if (!no_miss && gain_r[i] > best_gain) {
+      best_gain = gain_r[i];
+      best = i;
       best_dir = false;
     }
   }
-  SplitCandidate best;
-  if (best_bin >= 0) {
-    const double gl = best_dir ? pg[best_bin] + miss_g : pg[best_bin];
-    const double hl = best_dir ? ph[best_bin] + miss_h : ph[best_bin];
-    const double gr =
-        best_dir ? gsub - pg[best_bin] : (gsub - pg[best_bin]) + miss_g;
-    const double hr =
-        best_dir ? hsub - ph[best_bin] : (hsub - ph[best_bin]) + miss_h;
-    best.valid = true;
-    best.feature = feature;
-    best.threshold = bins_.cut(feature, best_bin);
-    best.bin = best_bin;
-    best.default_left = best_dir;
-    best.gain = best_gain;
-    best.weight_left = LeafWeight(gl, hl);
-    best.weight_right = LeafWeight(gr, hr);
+  SplitCandidate candidate;
+  if (best >= 0) {
+    const double gl = best_dir ? pg[best] + miss_g : pg[best];
+    const double hl = best_dir ? ph[best] + miss_h : ph[best];
+    const double gr = best_dir ? gsub - pg[best] : (gsub - pg[best]) + miss_g;
+    const double hr = best_dir ? hsub - ph[best] : (hsub - ph[best]) + miss_h;
+    candidate.valid = true;
+    candidate.feature = feature;
+    candidate.threshold = bins_.cut(feature, bin[best]);
+    candidate.bin = bin[best];
+    candidate.default_left = best_dir;
+    candidate.gain = best_gain;
+    candidate.weight_left = LeafWeight(gl, hl);
+    candidate.weight_right = LeafWeight(gr, hr);
   }
-  return best;
+  return candidate;
 }
 
-void Trainer::BuildNode(RegressionTree* tree, int node_id,
-                        std::vector<int64_t> rows, int depth,
-                        const std::vector<GradientPair>& gpairs,
-                        const NodeBounds& bounds,
-                        const HistogramLayout& layout, NodeHistogram hist) {
+void Trainer::BuildNode(RegressionTree* tree, int node_id, TreeState* state,
+                        int64_t begin, int64_t count, int depth,
+                        const NodeBounds& bounds, NodeHistogram hist) {
+  const std::vector<GradientPair>& gpairs = *state->gpairs;
+  const HistogramLayout& layout = *state->layout;
+  int64_t* rows = state->rows.data() + begin;
   NodeStats stats;
-  for (int64_t r : rows) {
-    stats.sum_g += gpairs[static_cast<size_t>(r)].grad;
-    stats.sum_h += gpairs[static_cast<size_t>(r)].hess;
+  for (int64_t i = 0; i < count; ++i) {
+    stats.sum_g += gpairs[static_cast<size_t>(rows[i])].grad;
+    stats.sum_h += gpairs[static_cast<size_t>(rows[i])].hess;
   }
-  stats.count = static_cast<int64_t>(rows.size());
+  stats.count = count;
   tree->mutable_node(node_id)->cover = stats.sum_h;
 
   const bool can_split = depth < params_.max_depth &&
@@ -310,8 +317,9 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
       // Root (or a node whose parent skipped the subtraction trick): one
       // row-major pass accumulates every feature's histogram at once.
       TraceSpan span("gbt.hist_build", "train");
-      span.Arg("rows", static_cast<int64_t>(rows.size()));
-      hist = hist_builder_->Build(layout, rows, gpairs);
+      span.Arg("rows", count);
+      hist = hist_builder_->Build(layout, {rows, static_cast<size_t>(count)},
+                                  gpairs);
       ++hist_nodes_direct_;
     }
     TraceSpan split_span("gbt.split_find", "train");
@@ -339,38 +347,54 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
         bounds.upper,
         std::max(bounds.lower, LeafWeight(stats.sum_g, stats.sum_h)));
     leaf->value = params_.learning_rate * weight;
+    // Score cache: the binned routing that put these rows here is the
+    // threshold routing RegressionTree::Predict would take, so this adds
+    // exactly what walking the finished tree would.
+    for (int64_t i = 0; i < count; ++i) {
+      state->raw_train[rows[i]] += leaf->value;
+    }
     return;
   }
 
   const auto [left_id, right_id] = tree->Split(
       node_id, best.feature, best.threshold, best.default_left, best.gain);
-  std::vector<int64_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (int64_t r : rows) {
-    const uint8_t b = binned_.At(r, best.feature);
+  // Stable in-place partition: left rows are compacted to the front of the
+  // span, right rows are staged in the scratch buffer and copied in behind
+  // them, so both children stay ascending.
+  const uint8_t* cells = binned_.data() + best.feature;
+  const int64_t stride = binned_.num_features();
+  int64_t* staged = state->scratch.data();
+  int64_t num_left = 0;
+  int64_t num_right = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t r = rows[i];
+    const uint8_t b = cells[r * stride];
     const bool go_left = (b == kMissingBin) ? best.default_left
                                             : static_cast<int>(b) <= best.bin;
-    (go_left ? left_rows : right_rows).push_back(r);
+    rows[num_left] = r;
+    staged[num_right] = r;
+    num_left += go_left ? 1 : 0;
+    num_right += go_left ? 0 : 1;
   }
-  rows.clear();
-  rows.shrink_to_fit();
+  std::copy(staged, staged + num_right, rows + num_left);
   // Sibling subtraction: build only the smaller child's histogram from its
   // rows and derive the larger one as parent − smaller. Skipped when the
   // children cannot split anyway (depth or min_samples_leaf), in which case
   // they are passed empty histograms they will never consult.
   NodeHistogram left_hist, right_hist;
   if (depth + 1 < params_.max_depth &&
-      static_cast<int64_t>(std::max(left_rows.size(), right_rows.size())) >=
-          2 * params_.min_samples_leaf) {
-    const bool left_smaller = left_rows.size() <= right_rows.size();
+      std::max(num_left, num_right) >= 2 * params_.min_samples_leaf) {
+    const bool left_smaller = num_left <= num_right;
     NodeHistogram smaller;
     {
       TraceSpan span("gbt.hist_build", "train");
-      span.Arg("rows", static_cast<int64_t>(
-                           left_smaller ? left_rows.size() : right_rows.size()));
+      const int64_t smaller_count = left_smaller ? num_left : num_right;
+      span.Arg("rows", smaller_count);
       smaller = hist_builder_->Build(
-          layout, left_smaller ? left_rows : right_rows, gpairs);
+          layout,
+          {left_smaller ? rows : rows + num_left,
+           static_cast<size_t>(smaller_count)},
+          gpairs);
       ++hist_nodes_direct_;
     }
     NodeHistogram larger;
@@ -399,21 +423,25 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id,
       right_bounds.upper = std::min(right_bounds.upper, mid);
     }
   }
-  BuildNode(tree, left_id, std::move(left_rows), depth + 1, gpairs,
-            left_bounds, layout, std::move(left_hist));
-  BuildNode(tree, right_id, std::move(right_rows), depth + 1, gpairs,
-            right_bounds, layout, std::move(right_hist));
+  BuildNode(tree, left_id, state, begin, num_left, depth + 1, left_bounds,
+            std::move(left_hist));
+  BuildNode(tree, right_id, state, begin + num_left, num_right, depth + 1,
+            right_bounds, std::move(right_hist));
 }
 
 RegressionTree Trainer::GrowTree(const std::vector<GradientPair>& gpairs,
                                  std::vector<int64_t> rows,
-                                 const std::vector<int>& features) {
+                                 const std::vector<int>& features,
+                                 double* raw_train) {
   RegressionTree tree;
   const NodeBounds root_bounds{-std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::infinity()};
   const HistogramLayout layout(bins_, features);
-  BuildNode(&tree, 0, std::move(rows), 0, gpairs, root_bounds, layout,
-            NodeHistogram());
+  const auto count = static_cast<int64_t>(rows.size());
+  TreeState state{&gpairs, &layout, std::move(rows),
+                  std::vector<int64_t>(static_cast<size_t>(count)),
+                  raw_train};
+  BuildNode(&tree, 0, &state, 0, count, 0, root_bounds, NodeHistogram());
   return tree;
 }
 
@@ -472,6 +500,13 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
   if (log != nullptr) log->metric_name = objective_->DefaultMetricName();
 
   std::vector<GradientPair> gpairs(static_cast<size_t>(n));
+  const bool subsampled = params_.subsample < 1.0;
+  const int64_t sample_size =
+      subsampled ? std::max<int64_t>(
+                       1, static_cast<int64_t>(std::llround(
+                              static_cast<double>(n) * params_.subsample)))
+                 : n;
+  std::vector<uint8_t> in_sample(subsampled ? static_cast<size_t>(n) : 0);
   double best_metric = std::numeric_limits<double>::infinity();
   int best_round = -1;
 
@@ -503,23 +538,30 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     ScopedLatencyTimer tree_timer(Metrics().tree_us);
     // Per-row gradients are independent writes to disjoint slots, so the
     // parallel loop is deterministic for any thread count.
-    pool_.ParallelFor(n, [&](int64_t i) {
-      GradientPair gp = objective_->ComputeGradient(
-          train_.label(i), raw_train[static_cast<size_t>(i)]);
-      if (params_.scale_pos_weight != 1.0 && train_.label(i) == 1.0) {
-        gp.grad *= params_.scale_pos_weight;
-        gp.hess *= params_.scale_pos_weight;
-      }
-      gpairs[static_cast<size_t>(i)] = gp;
-    });
-    // Row subsample.
+    pool_.ParallelForChunks(
+        n, kRowChunk, [&](int64_t, int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            GradientPair gp = objective_->ComputeGradient(
+                train_.label(i), raw_train[static_cast<size_t>(i)]);
+            if (params_.scale_pos_weight != 1.0 && train_.label(i) == 1.0) {
+              gp.grad *= params_.scale_pos_weight;
+              gp.hess *= params_.scale_pos_weight;
+            }
+            gpairs[static_cast<size_t>(i)] = gp;
+          }
+        });
+    // Row subsample, emitted ascending by one pass over a membership mask
+    // (the draw itself is unordered).
     std::vector<int64_t> rows;
-    if (params_.subsample < 1.0) {
-      const auto k = std::max<int64_t>(
-          1, static_cast<int64_t>(std::llround(
-                 static_cast<double>(n) * params_.subsample)));
-      rows = rng_.SampleWithoutReplacement(n, k);
-      std::sort(rows.begin(), rows.end());
+    if (subsampled) {
+      std::fill(in_sample.begin(), in_sample.end(), 0);
+      for (int64_t r : rng_.SampleWithoutReplacement(n, sample_size)) {
+        in_sample[static_cast<size_t>(r)] = 1;
+      }
+      rows.reserve(static_cast<size_t>(sample_size));
+      for (int64_t i = 0; i < n; ++i) {
+        if (in_sample[static_cast<size_t>(i)] != 0) rows.push_back(i);
+      }
     } else {
       rows.resize(static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) rows[static_cast<size_t>(i)] = i;
@@ -541,7 +583,8 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       }
     }
 
-    RegressionTree tree = GrowTree(gpairs, std::move(rows), features);
+    RegressionTree tree =
+        GrowTree(gpairs, std::move(rows), features, raw_train.data());
 
     int tree_splits = 0;
     double tree_gain = 0.0;
@@ -557,16 +600,28 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     }
 
     {
-      // Update cached raw scores (all rows, not just the subsample).
+      // GrowTree already added the tree to the sampled rows' raw scores;
+      // only rows outside the subsample and the validation set walk it.
       TraceSpan span("gbt.update_scores", "train");
-      pool_.ParallelFor(n, [&](int64_t i) {
-        raw_train[static_cast<size_t>(i)] += tree.Predict(train_.row(i));
-      });
+      if (subsampled) {
+        pool_.ParallelForChunks(
+            n, kRowChunk, [&](int64_t, int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                if (in_sample[static_cast<size_t>(i)] != 0) continue;
+                raw_train[static_cast<size_t>(i)] +=
+                    tree.Predict(train_.row(i));
+              }
+            });
+      }
       if (validation != nullptr) {
-        pool_.ParallelFor(validation->num_rows(), [&](int64_t i) {
-          raw_valid[static_cast<size_t>(i)] +=
-              tree.Predict(validation->row(i));
-        });
+        pool_.ParallelForChunks(
+            validation->num_rows(), kRowChunk,
+            [&](int64_t, int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                raw_valid[static_cast<size_t>(i)] +=
+                    tree.Predict(validation->row(i));
+              }
+            });
       }
     }
     model.trees_.push_back(std::move(tree));

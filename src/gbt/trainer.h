@@ -84,22 +84,37 @@ class Trainer {
                                const NodeStats& parent,
                                const NodeBounds& bounds) const;
 
-  /// Recursively grows the subtree rooted at `node_id` over `rows`.
-  /// `layout` is the tree's histogram layout and `hist` the node's
-  /// histogram (built lazily when empty); children inherit histograms via
-  /// the sibling-subtraction trick.
-  void BuildNode(RegressionTree* tree, int node_id, std::vector<int64_t> rows,
-                 int depth, const std::vector<GradientPair>& gpairs,
-                 const NodeBounds& bounds, const HistogramLayout& layout,
-                 NodeHistogram hist);
+  /// State shared by every node of the tree being grown.
+  struct TreeState {
+    const std::vector<GradientPair>* gpairs = nullptr;
+    const HistogramLayout* layout = nullptr;
+    /// The tree's sampled rows, ascending. Every node owns a contiguous
+    /// span of it, which BuildNode partitions in place between children.
+    std::vector<int64_t> rows;
+    /// Staging for the right-hand rows of one partition.
+    std::vector<int64_t> scratch;
+    /// Cached raw train scores: a finalized leaf adds its value to the
+    /// entries of its rows, so these rows never walk the finished tree.
+    double* raw_train = nullptr;
+  };
+
+  /// Recursively grows the subtree rooted at `node_id` over the rows
+  /// `state->rows[begin, begin + count)`. `hist` is the node's histogram
+  /// (built lazily when empty); children inherit histograms via the
+  /// sibling-subtraction trick.
+  void BuildNode(RegressionTree* tree, int node_id, TreeState* state,
+                 int64_t begin, int64_t count, int depth,
+                 const NodeBounds& bounds, NodeHistogram hist);
 
   /// The monotone constraint of a feature (0 when none configured).
   int ConstraintOf(int feature) const;
 
-  /// Grows one tree on the (sub)sampled rows and features.
+  /// Grows one tree on the sampled `rows` (ascending) and `features`, and
+  /// adds each leaf's value to `raw_train` for the rows it holds.
   RegressionTree GrowTree(const std::vector<GradientPair>& gpairs,
                           std::vector<int64_t> rows,
-                          const std::vector<int>& features);
+                          const std::vector<int>& features,
+                          double* raw_train);
 
   const Dataset& train_;
   const GbtParams params_;

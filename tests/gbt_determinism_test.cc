@@ -53,6 +53,63 @@ Dataset MakeData(int64_t rows) {
   return ds;
 }
 
+/// A fixture shaped like one data-driven cell of the study: 60 features,
+/// most of them continuous (64 bins) with ~25% missing cells, plus eight
+/// ordinal answers with 4 to 11 levels. `logistic` thresholds the target
+/// into 0/1 labels.
+Dataset MakeStudyShapedData(int64_t rows, bool logistic) {
+  constexpr int kFeatures = 60;
+  constexpr int kOrdinal = 8;
+  std::vector<std::string> names;
+  for (int f = 0; f < kFeatures; ++f) {
+    names.push_back(std::string("q").append(std::to_string(f)));
+  }
+  Dataset ds = Dataset::Create(names);
+  uint64_t state = 7;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(state >> 11) /
+           static_cast<double>(uint64_t{1} << 53);
+  };
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<double> x(kFeatures);
+    for (int f = 0; f < kFeatures - kOrdinal; ++f) {
+      const double u = next();
+      x[static_cast<size_t>(f)] = next() < 0.25 ? kNaN : u;
+    }
+    for (int k = 0; k < kOrdinal; ++k) {
+      const int levels = 4 + k;  // 4..11
+      x[static_cast<size_t>(kFeatures - kOrdinal + k)] =
+          std::floor(next() * levels);
+    }
+    auto value = [&x](int f) {
+      const double v = x[static_cast<size_t>(f)];
+      return std::isnan(v) ? 0.5 : v;
+    };
+    double y = value(0) * value(1) + std::sin(6.28 * value(2)) +
+               0.2 * value(kFeatures - 1) - 0.1 * value(kFeatures - 4) +
+               0.3 * next();
+    if (logistic) y = y > 0.6 ? 1.0 : 0.0;
+    EXPECT_TRUE(ds.AddRow(x, y).ok());
+  }
+  return ds;
+}
+
+/// The study's data-driven GBT settings (core::DefaultGbtParams), with
+/// fewer trees.
+GbtParams StudyShapedParams(ObjectiveType objective) {
+  GbtParams params;
+  params.objective = objective;
+  params.num_trees = 40;
+  params.learning_rate = 0.07;
+  params.max_depth = 4;
+  params.min_samples_leaf = 4;
+  params.subsample = 0.9;
+  params.colsample_bytree = 0.8;
+  params.seed = 7;
+  return params;
+}
+
 GbtParams BaseParams() {
   GbtParams params;
   params.num_trees = 12;
@@ -66,12 +123,14 @@ GbtParams BaseParams() {
 TEST(DeterminismTest, BitIdenticalAcrossThreadCounts) {
   // 3000 rows exceeds one 2048-row histogram chunk, so the chunked
   // reduction is genuinely exercised (not just the single-chunk path).
+  // BaseParams subsamples rows, so the out-of-sample score update runs
+  // on the pool's row chunks too.
   const Dataset train = MakeData(3000);
   GbtParams params = BaseParams();
   params.num_threads = 1;
   const std::string reference =
       GbtModel::Train(train, params).value().Serialize();
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 4, 8}) {
     params.num_threads = threads;
     const std::string serialized =
         GbtModel::Train(train, params).value().Serialize();
@@ -341,16 +400,58 @@ TEST(DeterminismTest, AuditAndDriftObservationDoesNotChangePredictions) {
 
 TEST(DeterminismTest, FastSplitPathMatchesGenericPath) {
   // All-zero monotone constraints force the generic ConsiderSplit scan;
-  // empty constraints take the specialized array scan. Both must produce
-  // the same model bit for bit.
-  const Dataset train = MakeData(1500);
-  GbtParams params = BaseParams();
-  const std::string fast = GbtModel::Train(train, params).value().Serialize();
-  params.monotone_constraints.assign(5, 0);
-  const std::string generic =
-      GbtModel::Train(train, params).value().Serialize();
-  EXPECT_EQ(fast, generic);
+  // empty constraints take the occupied-boundary array scan. Both must
+  // produce the same model bit for bit, on the small fixture and on a
+  // study-shaped one (many empty bins per node, most nodes with missing
+  // mass) under both objectives.
+  {
+    const Dataset train = MakeData(1500);
+    GbtParams params = BaseParams();
+    const std::string fast =
+        GbtModel::Train(train, params).value().Serialize();
+    params.monotone_constraints.assign(5, 0);
+    const std::string generic =
+        GbtModel::Train(train, params).value().Serialize();
+    EXPECT_EQ(fast, generic);
+  }
+  for (const ObjectiveType objective :
+       {ObjectiveType::kSquaredError, ObjectiveType::kLogistic}) {
+    const Dataset train = MakeStudyShapedData(
+        1800, /*logistic=*/objective == ObjectiveType::kLogistic);
+    GbtParams params = StudyShapedParams(objective);
+    const std::string fast =
+        GbtModel::Train(train, params).value().Serialize();
+    params.monotone_constraints.assign(60, 0);
+    const std::string generic =
+        GbtModel::Train(train, params).value().Serialize();
+    EXPECT_EQ(fast, generic) << ObjectiveTypeName(objective);
+  }
 }
+
+TEST(DeterminismTest, ScoreCacheMatchesStagedPrediction) {
+  // Sampled rows take their score from the leaf that holds them at the end
+  // of each tree; the rest walk the tree. Either way each round's logged
+  // train metric must equal the metric of the staged prediction.
+  for (const ObjectiveType objective :
+       {ObjectiveType::kSquaredError, ObjectiveType::kLogistic}) {
+    const Dataset train = MakeStudyShapedData(
+        1200, /*logistic=*/objective == ObjectiveType::kLogistic);
+    GbtParams params = StudyShapedParams(objective);
+    params.subsample = 0.7;
+    TrainingLog log;
+    const GbtModel model =
+        GbtModel::Train(train, params, nullptr, &log).value();
+    const auto stages = model.PredictStaged(train, 1).value();
+    ASSERT_EQ(log.rounds.size(), stages.size());
+    const auto metric = MakeObjective(objective);
+    for (size_t t = 0; t < stages.size(); ++t) {
+      EXPECT_EQ(log.rounds[t].train_metric,
+                metric->EvalDefaultMetric(train.labels(), stages[t]))
+          << ObjectiveTypeName(objective) << " round " << t;
+    }
+  }
+}
+
 
 }  // namespace
 }  // namespace mysawh::gbt
