@@ -11,7 +11,6 @@
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace mysawh::core {
@@ -51,35 +50,25 @@ Result<uint64_t> ParseHexU64(const std::string& text) {
 /// runs inside `Predict`, where a shortest-round-trip double rendering
 /// per feature would dominate the prediction itself.
 std::string RecordJson(const AuditRecord& record) {
-  std::string out = "{\"type\":\"";
-  out += record.type;
-  out += "\",\"fp\":\"";
-  out += HexU64(record.row_fp);
-  out += "\",\"model\":\"";
-  out += HexU64(record.model_fp);
-  out += "\",\"features\":[";
-  for (size_t f = 0; f < record.features.size(); ++f) {
-    if (f > 0) out += ',';
-    out += TelemetryDouble(record.features[f]);
-  }
-  out += ']';
+  JsonWriter w;
+  w.BeginObject()
+      .Key("type").String(record.type)
+      .Key("fp").String(HexU64(record.row_fp))
+      .Key("model").String(HexU64(record.model_fp))
+      .Key("features").BeginArray();
+  for (const double feature : record.features) w.Number(feature);
+  w.EndArray();
   if (record.type == "predict") {
-    out += ",\"prediction\":";
-    out += TelemetryDouble(record.prediction);
+    w.Key("prediction").Number(record.prediction);
   } else {
-    out += ",\"shap\":[";
-    for (size_t i = 0; i < record.shap.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "{\"i\":";
-      out += std::to_string(record.shap[i].index);
-      out += ",\"v\":";
-      out += TelemetryDouble(record.shap[i].value);
-      out += '}';
+    w.Key("shap").BeginArray();
+    for (const AuditShapEntry& entry : record.shap) {
+      w.BeginObject().Key("i").Int(entry.index).Key("v").Number(entry.value)
+          .EndObject();
     }
-    out += ']';
+    w.EndArray();
   }
-  out += '}';
-  return out;
+  return w.EndObject().Take();
 }
 
 }  // namespace
@@ -288,15 +277,15 @@ std::string AuditLog::SerializePayload() {
     sorted.push_back(RecordJson(record));
   }
   std::sort(sorted.begin(), sorted.end());
-  std::string out = "{\"schema\":\"";
-  out += kAuditSchema;
-  out += "\",\"sample_rate\":";
-  out += std::to_string(options_.sample_rate);
-  out += ",\"top_k\":";
-  out += std::to_string(options_.top_k);
-  out += ",\"records\":";
-  out += std::to_string(sorted.size());
-  out += "}\n";
+  JsonWriter header;
+  header.BeginObject()
+      .Key("schema").String(kAuditSchema)
+      .Key("sample_rate").Int(options_.sample_rate)
+      .Key("top_k").Int(options_.top_k)
+      .Key("records").Int(sorted.size())
+      .EndObject();
+  std::string out = header.Take();
+  out += '\n';
   for (const std::string& record : sorted) {
     out += record;
     out += '\n';

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "util/json.h"
 #include "util/metrics.h"
-#include "util/telemetry.h"
 
 namespace mysawh::core {
 namespace {
@@ -95,45 +95,36 @@ Result<ErrorQuantiles> ComputeErrorQuantiles(const std::vector<double>& labels,
 }
 
 std::string CalibrationJson(const CalibrationReport& report) {
-  std::string out = "{\"kind\":\"classification\",\"rows\":";
-  out += std::to_string(report.rows);
-  out += ",\"num_bins\":";
-  out += std::to_string(report.num_bins);
-  out += ",\"brier\":";
-  out += TelemetryDouble(report.brier);
-  out += ",\"ece\":";
-  out += TelemetryDouble(report.ece);
-  out += ",\"bins\":[";
-  for (size_t b = 0; b < report.bins.size(); ++b) {
-    if (b > 0) out += ',';
-    const CalibrationBin& bin = report.bins[b];
-    out += "{\"count\":";
-    out += std::to_string(bin.count);
-    out += ",\"mean_pred\":";
-    out += TelemetryDouble(bin.mean_predicted);
-    out += ",\"mean_obs\":";
-    out += TelemetryDouble(bin.observed_rate);
-    out += '}';
+  JsonWriter w;
+  w.BeginObject()
+      .Key("kind").String("classification")
+      .Key("rows").Int(report.rows)
+      .Key("num_bins").Int(report.num_bins)
+      .Key("brier").Number(report.brier)
+      .Key("ece").Number(report.ece)
+      .Key("bins").BeginArray();
+  for (const CalibrationBin& bin : report.bins) {
+    w.BeginObject()
+        .Key("count").Int(bin.count)
+        .Key("mean_pred").Number(bin.mean_predicted)
+        .Key("mean_obs").Number(bin.observed_rate)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  return w.EndArray().EndObject().Take();
 }
 
 std::string ErrorQuantilesJson(const ErrorQuantiles& quantiles) {
-  std::string out = "{\"kind\":\"regression\",\"rows\":";
-  out += std::to_string(quantiles.rows);
-  out += ",\"mae\":";
-  out += TelemetryDouble(quantiles.mae);
-  out += ",\"p50\":";
-  out += TelemetryDouble(quantiles.p50);
-  out += ",\"p90\":";
-  out += TelemetryDouble(quantiles.p90);
-  out += ",\"p99\":";
-  out += TelemetryDouble(quantiles.p99);
-  out += ",\"max\":";
-  out += TelemetryDouble(quantiles.max_err);
-  out += '}';
-  return out;
+  JsonWriter w;
+  w.BeginObject()
+      .Key("kind").String("regression")
+      .Key("rows").Int(quantiles.rows)
+      .Key("mae").Number(quantiles.mae)
+      .Key("p50").Number(quantiles.p50)
+      .Key("p90").Number(quantiles.p90)
+      .Key("p99").Number(quantiles.p99)
+      .Key("max").Number(quantiles.max_err)
+      .EndObject();
+  return w.Take();
 }
 
 void PublishCalibrationGauges(const std::string& label,

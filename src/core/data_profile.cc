@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "gbt/binning.h"
 #include "gbt/params.h"
-#include "util/telemetry.h"
+#include "util/json.h"
 
 namespace mysawh::core {
 
@@ -171,45 +170,45 @@ Result<DataQualityProfile> ProfilePartition(const Dataset& train,
 }
 
 std::string DataQualityJson(const DataQualityProfile& profile) {
-  std::ostringstream os;
-  os << "{\"train_rows\":" << profile.train_rows
-     << ",\"test_rows\":" << profile.test_rows
-     << ",\"num_features\":" << profile.num_features << ",\"outcome\":{"
-     << "\"classification\":"
-     << (profile.outcome.classification ? "true" : "false")
-     << ",\"mean_train\":" << TelemetryDouble(profile.outcome.mean_train)
-     << ",\"mean_test\":" << TelemetryDouble(profile.outcome.mean_test)
-     << ",\"stddev_train\":" << TelemetryDouble(profile.outcome.stddev_train)
-     << ",\"min_train\":" << TelemetryDouble(profile.outcome.min_train)
-     << ",\"max_train\":" << TelemetryDouble(profile.outcome.max_train);
-  if (profile.outcome.classification) {
-    os << ",\"positives_train\":" << profile.outcome.positives_train
-       << ",\"positives_test\":" << profile.outcome.positives_test;
+  const OutcomeQuality& outcome = profile.outcome;
+  JsonWriter w;
+  w.BeginObject()
+      .Key("train_rows").Int(profile.train_rows)
+      .Key("test_rows").Int(profile.test_rows)
+      .Key("num_features").Int(profile.num_features)
+      .Key("outcome").BeginObject()
+      .Key("classification").Bool(outcome.classification)
+      .Key("mean_train").Number(outcome.mean_train)
+      .Key("mean_test").Number(outcome.mean_test)
+      .Key("stddev_train").Number(outcome.stddev_train)
+      .Key("min_train").Number(outcome.min_train)
+      .Key("max_train").Number(outcome.max_train);
+  if (outcome.classification) {
+    w.Key("positives_train").Int(outcome.positives_train)
+        .Key("positives_test").Int(outcome.positives_test);
   }
-  os << "},\"max_missing_train\":" << TelemetryDouble(profile.max_missing_train)
-     << ",\"max_missing_feature\":\""
-     << TelemetryJsonEscape(profile.max_missing_feature) << "\""
-     << ",\"max_drift\":" << TelemetryDouble(profile.max_drift)
-     << ",\"max_drift_feature\":\""
-     << TelemetryJsonEscape(profile.max_drift_feature) << "\""
-     << ",\"mean_bin_occupancy\":"
-     << TelemetryDouble(profile.mean_bin_occupancy) << ",\"features\":[";
-  for (size_t f = 0; f < profile.features.size(); ++f) {
-    const FeatureQuality& feature = profile.features[f];
-    os << (f == 0 ? "" : ",") << "{\"name\":\""
-       << TelemetryJsonEscape(feature.name) << "\""
-       << ",\"missing_train\":" << TelemetryDouble(feature.missing_train)
-       << ",\"missing_test\":" << TelemetryDouble(feature.missing_test)
-       << ",\"mean_train\":" << TelemetryDouble(feature.mean_train)
-       << ",\"mean_test\":" << TelemetryDouble(feature.mean_test)
-       << ",\"stddev_train\":" << TelemetryDouble(feature.stddev_train)
-       << ",\"drift\":" << TelemetryDouble(feature.drift)
-       << ",\"num_bins\":" << feature.num_bins
-       << ",\"occupied_bins\":" << feature.occupied_bins
-       << ",\"max_bin_count\":" << feature.max_bin_count << "}";
+  w.EndObject()
+      .Key("max_missing_train").Number(profile.max_missing_train)
+      .Key("max_missing_feature").String(profile.max_missing_feature)
+      .Key("max_drift").Number(profile.max_drift)
+      .Key("max_drift_feature").String(profile.max_drift_feature)
+      .Key("mean_bin_occupancy").Number(profile.mean_bin_occupancy)
+      .Key("features").BeginArray();
+  for (const FeatureQuality& feature : profile.features) {
+    w.BeginObject()
+        .Key("name").String(feature.name)
+        .Key("missing_train").Number(feature.missing_train)
+        .Key("missing_test").Number(feature.missing_test)
+        .Key("mean_train").Number(feature.mean_train)
+        .Key("mean_test").Number(feature.mean_test)
+        .Key("stddev_train").Number(feature.stddev_train)
+        .Key("drift").Number(feature.drift)
+        .Key("num_bins").Int(feature.num_bins)
+        .Key("occupied_bins").Int(feature.occupied_bins)
+        .Key("max_bin_count").Int(feature.max_bin_count)
+        .EndObject();
   }
-  os << "]}";
-  return os.str();
+  return w.EndArray().EndObject().Take();
 }
 
 }  // namespace mysawh::core

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "core/audit_log.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/monitor.h"
-#include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -211,25 +209,16 @@ DriftReport EvaluateDriftColumns(const DriftBaseline& baseline,
                         has_prediction, thresholds, rows);
 }
 
-std::string FeatureBaselineJson(const FeatureBaseline& base) {
-  std::string out = "{\"name\":\"";
-  out += TelemetryJsonEscape(base.name);
-  out += "\",\"rows\":";
-  out += std::to_string(base.rows);
-  out += ",\"missing\":";
-  out += TelemetryDouble(base.missing_expected);
-  out += ",\"edges\":[";
-  for (size_t i = 0; i < base.edges.size(); ++i) {
-    if (i > 0) out += ',';
-    out += TelemetryDouble(base.edges[i]);
-  }
-  out += "],\"expected\":[";
-  for (size_t i = 0; i < base.expected.size(); ++i) {
-    if (i > 0) out += ',';
-    out += TelemetryDouble(base.expected[i]);
-  }
-  out += "]}";
-  return out;
+void WriteFeatureBaseline(JsonWriter& w, const FeatureBaseline& base) {
+  w.BeginObject()
+      .Key("name").String(base.name)
+      .Key("rows").Int(base.rows)
+      .Key("missing").Number(base.missing_expected)
+      .Key("edges").BeginArray();
+  for (const double edge : base.edges) w.Number(edge);
+  w.EndArray().Key("expected").BeginArray();
+  for (const double share : base.expected) w.Number(share);
+  w.EndArray().EndObject();
 }
 
 Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
@@ -278,19 +267,14 @@ Result<FeatureBaseline> ParseFeatureBaseline(const JsonValue& value) {
   return base;
 }
 
-std::string FeatureDriftStatJson(const FeatureDriftStat& stat) {
-  std::string out = "{\"name\":\"";
-  out += TelemetryJsonEscape(stat.name);
-  out += "\",\"psi\":";
-  out += TelemetryDouble(stat.psi);
-  out += ",\"ks\":";
-  out += TelemetryDouble(stat.ks);
-  out += ",\"missing\":";
-  out += TelemetryDouble(stat.missing_actual);
-  out += ",\"rows\":";
-  out += std::to_string(stat.rows);
-  out += '}';
-  return out;
+void WriteFeatureDriftStat(JsonWriter& w, const FeatureDriftStat& stat) {
+  w.BeginObject()
+      .Key("name").String(stat.name)
+      .Key("psi").Number(stat.psi)
+      .Key("ks").Number(stat.ks)
+      .Key("missing").Number(stat.missing_actual)
+      .Key("rows").Int(stat.rows)
+      .EndObject();
 }
 
 }  // namespace
@@ -358,17 +342,17 @@ Result<DriftReport> EvaluateDrift(const DriftBaseline& baseline,
 }
 
 std::string DriftBaselineJson(const DriftBaseline& baseline) {
-  std::string out = "{\"schema\":\"mysawh-drift-baseline v1\",\"num_bins\":";
-  out += std::to_string(baseline.num_bins);
-  out += ",\"features\":[";
-  for (size_t f = 0; f < baseline.features.size(); ++f) {
-    if (f > 0) out += ',';
-    out += FeatureBaselineJson(baseline.features[f]);
+  JsonWriter w;
+  w.BeginObject()
+      .Key("schema").String("mysawh-drift-baseline v1")
+      .Key("num_bins").Int(baseline.num_bins)
+      .Key("features").BeginArray();
+  for (const FeatureBaseline& base : baseline.features) {
+    WriteFeatureBaseline(w, base);
   }
-  out += "],\"prediction\":";
-  out += FeatureBaselineJson(baseline.prediction);
-  out += '}';
-  return out;
+  w.EndArray().Key("prediction");
+  WriteFeatureBaseline(w, baseline.prediction);
+  return w.EndObject().Take();
 }
 
 Result<DriftBaseline> ParseDriftBaseline(const std::string& json) {
@@ -408,32 +392,22 @@ Result<DriftBaseline> ParseDriftBaseline(const std::string& json) {
 }
 
 std::string DriftReportJson(const DriftReport& report) {
-  std::string out = "{\"rows\":";
-  out += std::to_string(report.rows);
-  out += ",\"max_psi\":";
-  out += TelemetryDouble(report.max_psi);
-  out += ",\"max_psi_feature\":\"";
-  out += TelemetryJsonEscape(report.max_psi_feature);
-  out += "\",\"max_ks\":";
-  out += TelemetryDouble(report.max_ks);
-  out += ",\"max_ks_feature\":\"";
-  out += TelemetryJsonEscape(report.max_ks_feature);
-  out += "\",\"alerts\":[";
-  for (size_t i = 0; i < report.alerts.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '"';
-    out += TelemetryJsonEscape(report.alerts[i]);
-    out += '"';
+  JsonWriter w;
+  w.BeginObject()
+      .Key("rows").Int(report.rows)
+      .Key("max_psi").Number(report.max_psi)
+      .Key("max_psi_feature").String(report.max_psi_feature)
+      .Key("max_ks").Number(report.max_ks)
+      .Key("max_ks_feature").String(report.max_ks_feature)
+      .Key("alerts").BeginArray();
+  for (const std::string& alert : report.alerts) w.String(alert);
+  w.EndArray().Key("prediction");
+  WriteFeatureDriftStat(w, report.prediction);
+  w.Key("features").BeginArray();
+  for (const FeatureDriftStat& stat : report.features) {
+    WriteFeatureDriftStat(w, stat);
   }
-  out += "],\"prediction\":";
-  out += FeatureDriftStatJson(report.prediction);
-  out += ",\"features\":[";
-  for (size_t f = 0; f < report.features.size(); ++f) {
-    if (f > 0) out += ',';
-    out += FeatureDriftStatJson(report.features[f]);
-  }
-  out += "]}";
-  return out;
+  return w.EndArray().EndObject().Take();
 }
 
 bool DriftMonitoringEnabled() {
@@ -712,21 +686,19 @@ void DriftMonitorRuntime::ProcessReportLocked(DriftReport report) {
       MetricsRegistry::Global().GetCounter("drift.alerts");
   alerts_counter->Increment();
 
-  std::ostringstream event;
-  event << "{\"type\":\"drift\",\"window_rows\":" << rows
-        << ",\"max_psi\":" << TelemetryDouble(current.max_psi)
-        << ",\"max_psi_feature\":\""
-        << TelemetryJsonEscape(current.max_psi_feature)
-        << "\",\"max_ks\":" << TelemetryDouble(current.max_ks)
-        << ",\"max_ks_feature\":\""
-        << TelemetryJsonEscape(current.max_ks_feature) << "\",\"alerts\":[";
-  for (size_t i = 0; i < current.alerts.size(); ++i) {
-    event << (i == 0 ? "" : ",") << "\"" << TelemetryJsonEscape(current.alerts[i])
-          << "\"";
-  }
-  event << "]}";
+  JsonWriter event;
+  event.BeginObject()
+      .Key("type").String("drift")
+      .Key("window_rows").Int(rows)
+      .Key("max_psi").Number(current.max_psi)
+      .Key("max_psi_feature").String(current.max_psi_feature)
+      .Key("max_ks").Number(current.max_ks)
+      .Key("max_ks_feature").String(current.max_ks_feature)
+      .Key("alerts").BeginArray();
+  for (const std::string& alert : current.alerts) event.String(alert);
+  event.EndArray().EndObject();
   if (Monitor* monitor = Monitor::Current()) {
-    monitor->AppendEvent(event.str());
+    monitor->AppendEvent(event.Take());
   }
   if (TracingEnabled()) {
     TraceEvent trace_event;
@@ -734,8 +706,10 @@ void DriftMonitorRuntime::ProcessReportLocked(DriftReport report) {
     trace_event.cat = "monitor";
     trace_event.ts_us = Tracer::Global().NowMicros();
     trace_event.dur_us = 0;
-    trace_event.args = "\"alerts\":" + std::to_string(current.alerts.size()) +
-                       ",\"window_rows\":" + std::to_string(rows);
+    trace_event.args = JsonWriter()
+                           .Key("alerts").Int(current.alerts.size())
+                           .Key("window_rows").Int(rows)
+                           .Take();
     Tracer::Global().Record(std::move(trace_event));
   }
 }

@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "data/split.h"
 #include "linear/linear_model.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 
@@ -301,9 +301,10 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
     TelemetryStream eval = Telemetry::Global().StartStream("eval");
     if (eval.active()) {
       const char* metric = result.is_classification ? "auc" : "mape";
-      std::ostringstream header;
-      header << "\"metric\":\"" << metric << "\",\"rows\":"
-             << result.test.num_rows() << ",\"stages\":" << stages.size();
+      JsonWriter header;
+      header.Key("metric").String(metric)
+          .Key("rows").Int(result.test.num_rows())
+          .Key("stages").Int(stages.size());
       eval.Line("header", header.str());
       for (size_t stage = 0; stage < stages.size(); ++stage) {
         double value = std::numeric_limits<double>::quiet_NaN();
@@ -315,9 +316,8 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
               ComputeRegressionMetrics(result.test.labels(), stages[stage]);
           if (m.ok()) value = m->mape;
         }
-        std::ostringstream line;
-        line << "\"round\":" << stage << ",\"value\":"
-             << TelemetryDouble(value);
+        JsonWriter line;
+        line.Key("round").Int(stage).Key("value").Number(value);
         eval.Line("eval", line.str());
       }
       eval.Finish();

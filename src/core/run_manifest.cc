@@ -1,9 +1,9 @@
 #include "core/run_manifest.h"
 
 #include <cstdio>
-#include <sstream>
 
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/monitor.h"
 #include "util/trace.h"
@@ -12,40 +12,6 @@
 namespace mysawh::core {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string Millis(double ms) {
   char buf[32];
@@ -57,52 +23,35 @@ std::string Millis(double ms) {
 
 std::string BuildRunManifestJson(const StudyConfig& config,
                                  const StudyResult& result) {
-  std::ostringstream os;
-  os << "{";
-  os << "\"schema\":\"mysawh-run-manifest v1\",";
-  os << "\"git_describe\":\"" << JsonEscape(GitDescribe()) << "\",";
-  os << "\"fingerprint\":\"" << JsonEscape(StudyFingerprint(config)) << "\",";
-  os << "\"seed\":" << config.cohort.seed << ",";
-  os << "\"eval_seed\":" << config.protocol.seed << ",";
-  os << "\"model_family\":\"" << JsonEscape(ModelFamilyName(config.model_family))
-     << "\",";
-  os << "\"cells\":{";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject()
+      .Key("schema").String("mysawh-run-manifest v1")
+      .Key("git_describe").String(GitDescribe())
+      .Key("fingerprint").String(StudyFingerprint(config))
+      .Key("seed").Int(config.cohort.seed)
+      .Key("eval_seed").Int(config.protocol.seed)
+      .Key("model_family").String(ModelFamilyName(config.model_family));
+  w.Key("cells").BeginObject();
   for (const auto& [key, timing] : result.timings) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(StudyCellName(key)) << "\":{"
-       << "\"wall_ms\":" << Millis(timing.wall_ms) << ","
-       << "\"cpu_ms\":" << Millis(timing.cpu_ms) << ","
-       << "\"resumed\":" << (timing.resumed ? "true" : "false") << "}";
+    w.Key(StudyCellName(key)).BeginObject()
+        .Key("wall_ms").Raw(Millis(timing.wall_ms))
+        .Key("cpu_ms").Raw(Millis(timing.cpu_ms))
+        .Key("resumed").Bool(timing.resumed)
+        .EndObject();
   }
-  os << "},";
-  os << "\"data_quality\":{";
-  first = true;
+  w.EndObject().Key("data_quality").BeginObject();
   for (const auto& [key, profile] : result.profiles) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(StudyCellName(key))
-       << "\":" << DataQualityJson(profile);
+    w.Key(StudyCellName(key)).Raw(DataQualityJson(profile));
   }
-  os << "},";
-  os << "\"drift\":{";
-  first = true;
+  w.EndObject().Key("drift").BeginObject();
   for (const auto& [key, json] : result.drift_jsons) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(StudyCellName(key)) << "\":" << json;
+    w.Key(StudyCellName(key)).Raw(json);
   }
-  os << "},";
-  os << "\"calibration\":{";
-  first = true;
+  w.EndObject().Key("calibration").BeginObject();
   for (const auto& [key, json] : result.calibration_jsons) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(StudyCellName(key)) << "\":" << json;
+    w.Key(StudyCellName(key)).Raw(json);
   }
-  os << "},";
-  os << "\"metrics\":" << MetricsRegistry::Global().SnapshotJson();
+  w.EndObject().Key("metrics").Raw(MetricsRegistry::Global().SnapshotJson());
   // Optional live-observability blocks: the study's closing heartbeat when
   // a monitor is running, and the per-span cost table when this run traced
   // with cost attribution. Plain runs omit both, keeping the manifest
@@ -113,14 +62,13 @@ std::string BuildRunManifestJson(const StudyConfig& config,
            (status.back() == '\n' || status.back() == '\r')) {
       status.pop_back();
     }
-    os << ",\"final_status\":" << status;
+    w.Key("final_status").Raw(status);
   }
   if (TracingEnabled() && CostAttributionEnabled()) {
     const std::string costs = Tracer::Global().CostTableJson(/*top_n=*/10);
-    if (!costs.empty()) os << ",\"span_costs\":" << costs;
+    if (!costs.empty()) w.Key("span_costs").Raw(costs);
   }
-  os << "}";
-  return os.str();
+  return w.EndObject().Take();
 }
 
 Status WriteRunManifest(const std::string& path, const StudyConfig& config,

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 #include <time.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -200,6 +201,9 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
   if (num_threads == 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
   }
+  // At most one worker per cell: more would sit idle, and a huge request
+  // would ask the OS for that many threads.
+  num_threads = std::min(num_threads, static_cast<int>(jobs.size()));
   const bool checkpointing = !config.checkpoint_dir.empty();
   const std::string fingerprint = StudyFingerprint(config);
   if (checkpointing) {

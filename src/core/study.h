@@ -21,7 +21,8 @@ struct StudyConfig {
   /// Model family trained in every cell (kGbt reproduces the paper).
   ModelFamily model_family = ModelFamily::kGbt;
   /// Worker threads for the 12-cell grid; 0 picks the hardware count,
-  /// 1 runs sequentially. Results are identical for any thread count:
+  /// 1 runs sequentially, and counts past the 12 cells are clamped to
+  /// one worker per cell. Results are identical for any thread count:
   /// each cell derives its randomness solely from `protocol.seed`.
   int num_threads = 0;
   /// When non-empty, every finished cell persists its result into this

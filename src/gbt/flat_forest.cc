@@ -4,13 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
-#include "util/file_io.h"
 #include "util/metrics.h"
 #include "util/resource_stats.h"
-#include "util/serialization.h"
-#include "util/string_util.h"
 #include "util/trace.h"
 
 namespace mysawh::gbt {
@@ -91,8 +87,8 @@ Result<FlatForest> FlatForest::Compile(
   }
 
   // Pass 2: emit each tree's internal nodes in preorder (parents strictly
-  // before children, the acyclicity invariant Validate checks) and its
-  // leaves in reference order, all into the global SoA block.
+  // before children, which BuildDerivedState's height pass relies on) and
+  // its leaves in reference order, all into the global SoA block.
   flat.feature_.reserve(static_cast<size_t>(total_internal));
   flat.bin_threshold_.reserve(static_cast<size_t>(total_internal));
   flat.left_.reserve(static_cast<size_t>(total_internal));
@@ -502,317 +498,6 @@ void FlatForest::PredictRaw(const Dataset& data, double base_score,
     AccumulateBlock(panel.data(), n, acc);
     std::copy(acc, acc + n, out + begin);
   });
-}
-
-Status FlatForest::Validate() const {
-  const auto num_nodes = static_cast<int64_t>(feature_.size());
-  const auto num_leaves = static_cast<int64_t>(leaf_values_.size());
-  const auto num_trees = static_cast<int64_t>(roots_.size());
-  if (num_features_ < 0 || num_features_ > INT16_MAX) {
-    return Status::DataLoss("flat forest: feature space width out of range");
-  }
-  if (bin_threshold_.size() != feature_.size() ||
-      left_.size() != feature_.size() || right_.size() != feature_.size() ||
-      left_fraction_.size() != feature_.size() ||
-      right_fraction_.size() != feature_.size() ||
-      default_left_bits_.size() !=
-          static_cast<size_t>((num_nodes + 63) / 64)) {
-    return Status::DataLoss("flat forest: node array sizes disagree");
-  }
-  if (cut_offsets_.size() != static_cast<size_t>(num_features_) + 1 ||
-      cut_offsets_.front() != 0 ||
-      cut_offsets_.back() != static_cast<int32_t>(cut_values_.size())) {
-    return Status::DataLoss("flat forest: cut offsets malformed");
-  }
-  for (int64_t f = 0; f < num_features_; ++f) {
-    const int32_t lo = cut_offsets_[static_cast<size_t>(f)];
-    const int32_t hi = cut_offsets_[static_cast<size_t>(f) + 1];
-    if (lo > hi || hi - lo > kMaxCutsPerFeature) {
-      return Status::DataLoss("flat forest: cut count out of range");
-    }
-    for (int32_t c = lo; c < hi; ++c) {
-      if (!std::isfinite(cut_values_[static_cast<size_t>(c)])) {
-        return Status::DataLoss("flat forest: non-finite cut");
-      }
-      if (c > lo && !(cut_values_[static_cast<size_t>(c - 1)] <
-                      cut_values_[static_cast<size_t>(c)])) {
-        return Status::DataLoss("flat forest: cuts not strictly increasing");
-      }
-    }
-  }
-  if (tree_node_offsets_.size() != static_cast<size_t>(num_trees) + 1 ||
-      tree_leaf_offsets_.size() != static_cast<size_t>(num_trees) + 1 ||
-      tree_node_offsets_.front() != 0 || tree_leaf_offsets_.front() != 0 ||
-      tree_node_offsets_.back() != num_nodes ||
-      tree_leaf_offsets_.back() != num_leaves) {
-    return Status::DataLoss("flat forest: tree offsets malformed");
-  }
-  for (int64_t t = 0; t < num_trees; ++t) {
-    const int32_t node_begin = tree_node_offsets_[static_cast<size_t>(t)];
-    const int32_t node_end = tree_node_offsets_[static_cast<size_t>(t) + 1];
-    const int32_t leaf_begin = tree_leaf_offsets_[static_cast<size_t>(t)];
-    const int32_t leaf_end = tree_leaf_offsets_[static_cast<size_t>(t) + 1];
-    if (node_begin > node_end || leaf_begin > leaf_end) {
-      return Status::DataLoss("flat forest: tree offsets not monotone");
-    }
-    auto check_ref = [&](int32_t ref, int32_t after) -> Status {
-      if (ref >= 0) {
-        if (ref <= after || ref >= node_end) {
-          return Status::DataLoss(
-              "flat forest: child link out of range at node " +
-              std::to_string(after));
-        }
-        return Status::Ok();
-      }
-      const int32_t leaf = ~ref;
-      if (leaf < leaf_begin || leaf >= leaf_end) {
-        return Status::DataLoss(
-            "flat forest: leaf link out of range at node " +
-            std::to_string(after));
-      }
-      return Status::Ok();
-    };
-    const int32_t root = roots_[static_cast<size_t>(t)];
-    // The root "parent" sits just before the tree's node range, so the
-    // strictly-after check admits exactly node_begin (preorder root).
-    MYSAWH_RETURN_NOT_OK(check_ref(root, node_begin - 1));
-    if (root >= 0 && root != node_begin) {
-      return Status::DataLoss("flat forest: root is not the first node");
-    }
-    if (root < 0 && node_begin != node_end) {
-      return Status::DataLoss("flat forest: leaf root with internal nodes");
-    }
-    for (int32_t i = node_begin; i < node_end; ++i) {
-      const auto node = static_cast<size_t>(i);
-      const int16_t f = feature_[node];
-      if (f < 0 || f >= num_features_) {
-        return Status::DataLoss(
-            "flat forest: split feature out of range at node " +
-            std::to_string(i));
-      }
-      const int32_t num_cuts = cut_offsets_[static_cast<size_t>(f) + 1] -
-                               cut_offsets_[static_cast<size_t>(f)];
-      const uint8_t bt = bin_threshold_[node];
-      if (bt < 1 || static_cast<int32_t>(bt) > num_cuts) {
-        return Status::DataLoss(
-            "flat forest: bin threshold out of range at node " +
-            std::to_string(i));
-      }
-      MYSAWH_RETURN_NOT_OK(check_ref(left_[node], i));
-      MYSAWH_RETURN_NOT_OK(check_ref(right_[node], i));
-      const double lf = left_fraction_[node];
-      const double rf = right_fraction_[node];
-      if (!std::isfinite(lf) || !std::isfinite(rf) || lf < 0 || rf < 0 ||
-          lf + rf > 1.0 + 1e-6) {
-        // The flat form of "children cover must not exceed the parent's".
-        return Status::DataLoss(
-            "flat forest: cover fractions out of range at node " +
-            std::to_string(i));
-      }
-    }
-  }
-  // The serialized depth sizes the TreeSHAP path workspace; recompute it
-  // from the links so a corrupted value cannot undersize the recursion.
-  std::vector<int32_t> height(feature_.size(), 0);
-  auto ref_height = [&](int32_t ref) {
-    return ref < 0 ? 0 : height[static_cast<size_t>(ref)];
-  };
-  int computed_depth = 0;
-  for (int64_t i = num_nodes - 1; i >= 0; --i) {
-    height[static_cast<size_t>(i)] =
-        1 + std::max(ref_height(left_[static_cast<size_t>(i)]),
-                     ref_height(right_[static_cast<size_t>(i)]));
-  }
-  for (const int32_t root : roots_) {
-    computed_depth = std::max(computed_depth, ref_height(root));
-  }
-  if (max_depth_ != computed_depth) {
-    return Status::DataLoss("flat forest: stored depth " +
-                            std::to_string(max_depth_) + " != computed " +
-                            std::to_string(computed_depth));
-  }
-  return Status::Ok();
-}
-
-std::string FlatForest::Serialize() const {
-  std::ostringstream os;
-  os << "mysawh-flat-forest v1\n";
-  os << "num_features " << num_features_ << "\n";
-  os << "max_depth " << max_depth_ << "\n";
-  os << "num_trees " << num_trees() << "\n";
-  os << "num_nodes " << num_nodes() << "\n";
-  os << "num_leaves " << num_leaves() << "\n";
-  for (int64_t f = 0; f < num_features_; ++f) {
-    const int32_t lo = cut_offsets_[static_cast<size_t>(f)];
-    const int32_t hi = cut_offsets_[static_cast<size_t>(f) + 1];
-    os << "cuts " << (hi - lo);
-    for (int32_t c = lo; c < hi; ++c) {
-      os << " " << EncodeDouble(cut_values_[static_cast<size_t>(c)]);
-    }
-    os << "\n";
-  }
-  for (int t = 0; t < num_trees(); ++t) {
-    os << "tree " << roots_[static_cast<size_t>(t)] << " "
-       << tree_node_offsets_[static_cast<size_t>(t) + 1] << " "
-       << tree_leaf_offsets_[static_cast<size_t>(t) + 1] << "\n";
-  }
-  for (int64_t i = 0; i < num_nodes(); ++i) {
-    const auto node = static_cast<size_t>(i);
-    os << "node " << feature_[node] << " "
-       << static_cast<int>(bin_threshold_[node]) << " " << left_[node] << " "
-       << right_[node] << " " << (default_left(i) ? 1 : 0) << " "
-       << EncodeDouble(left_fraction_[node]) << " "
-       << EncodeDouble(right_fraction_[node]) << "\n";
-  }
-  for (int64_t l = 0; l < num_leaves(); ++l) {
-    os << "leaf " << EncodeDouble(leaf_values_[static_cast<size_t>(l)])
-       << "\n";
-  }
-  return os.str();
-}
-
-Result<FlatForest> FlatForest::Deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  auto next_line = [&]() -> Result<std::string> {
-    if (!std::getline(is, line)) {
-      return Status::InvalidArgument("flat forest text truncated");
-    }
-    return line;
-  };
-  auto header_int = [&](const std::string& key) -> Result<int64_t> {
-    MYSAWH_ASSIGN_OR_RETURN(std::string l, next_line());
-    const auto parts = Split(l, ' ');
-    if (parts.size() != 2 || parts[0] != key) {
-      return Status::InvalidArgument("flat forest: bad " + key + " line");
-    }
-    return ParseInt64(parts[1]);
-  };
-  MYSAWH_ASSIGN_OR_RETURN(std::string header, next_line());
-  if (header != "mysawh-flat-forest v1") {
-    return Status::InvalidArgument("bad flat forest header: " + header);
-  }
-  FlatForest flat;
-  MYSAWH_ASSIGN_OR_RETURN(flat.num_features_, header_int("num_features"));
-  MYSAWH_ASSIGN_OR_RETURN(int64_t max_depth, header_int("max_depth"));
-  MYSAWH_ASSIGN_OR_RETURN(int64_t num_trees, header_int("num_trees"));
-  MYSAWH_ASSIGN_OR_RETURN(int64_t num_nodes, header_int("num_nodes"));
-  MYSAWH_ASSIGN_OR_RETURN(int64_t num_leaves, header_int("num_leaves"));
-  if (flat.num_features_ < 0 || flat.num_features_ > INT16_MAX ||
-      max_depth < 0 || max_depth > INT32_MAX || num_trees < 0 ||
-      num_nodes < 0 || num_nodes > INT32_MAX || num_leaves < 0 ||
-      num_leaves > INT32_MAX) {
-    return Status::DataLoss("flat forest: header counts out of range");
-  }
-  flat.max_depth_ = static_cast<int>(max_depth);
-  // Reserves are bounded: a corrupted count must fail on the missing lines
-  // below, not attempt a huge allocation here.
-  const auto bounded = [](int64_t n) {
-    return static_cast<size_t>(std::min<int64_t>(n, 65536));
-  };
-  flat.cut_offsets_.reserve(bounded(flat.num_features_ + 1));
-  flat.cut_offsets_.push_back(0);
-  for (int64_t f = 0; f < flat.num_features_; ++f) {
-    MYSAWH_ASSIGN_OR_RETURN(std::string l, next_line());
-    const auto parts = Split(l, ' ');
-    if (parts.size() < 2 || parts[0] != "cuts") {
-      return Status::InvalidArgument("flat forest: bad cuts line: " + l);
-    }
-    MYSAWH_ASSIGN_OR_RETURN(int64_t count, ParseInt64(parts[1]));
-    if (count < 0 || count > kMaxCutsPerFeature ||
-        static_cast<size_t>(count) + 2 != parts.size()) {
-      return Status::DataLoss("flat forest: cut count mismatch: " + l);
-    }
-    for (int64_t c = 0; c < count; ++c) {
-      MYSAWH_ASSIGN_OR_RETURN(double cut,
-                              DecodeDouble(parts[static_cast<size_t>(c) + 2]));
-      flat.cut_values_.push_back(cut);
-    }
-    flat.cut_offsets_.push_back(static_cast<int32_t>(flat.cut_values_.size()));
-  }
-  flat.tree_node_offsets_.reserve(bounded(num_trees + 1));
-  flat.tree_leaf_offsets_.reserve(bounded(num_trees + 1));
-  flat.tree_node_offsets_.push_back(0);
-  flat.tree_leaf_offsets_.push_back(0);
-  for (int64_t t = 0; t < num_trees; ++t) {
-    MYSAWH_ASSIGN_OR_RETURN(std::string l, next_line());
-    const auto parts = Split(l, ' ');
-    if (parts.size() != 4 || parts[0] != "tree") {
-      return Status::InvalidArgument("flat forest: bad tree line: " + l);
-    }
-    MYSAWH_ASSIGN_OR_RETURN(int64_t root, ParseInt64(parts[1]));
-    MYSAWH_ASSIGN_OR_RETURN(int64_t node_end, ParseInt64(parts[2]));
-    MYSAWH_ASSIGN_OR_RETURN(int64_t leaf_end, ParseInt64(parts[3]));
-    if (root < INT32_MIN || root > INT32_MAX || node_end < 0 ||
-        node_end > num_nodes || leaf_end < 0 || leaf_end > num_leaves) {
-      return Status::DataLoss("flat forest: tree offsets out of range: " + l);
-    }
-    flat.roots_.push_back(static_cast<int32_t>(root));
-    flat.tree_node_offsets_.push_back(static_cast<int32_t>(node_end));
-    flat.tree_leaf_offsets_.push_back(static_cast<int32_t>(leaf_end));
-  }
-  flat.feature_.reserve(bounded(num_nodes));
-  flat.bin_threshold_.reserve(bounded(num_nodes));
-  flat.left_.reserve(bounded(num_nodes));
-  flat.right_.reserve(bounded(num_nodes));
-  flat.left_fraction_.reserve(bounded(num_nodes));
-  flat.right_fraction_.reserve(bounded(num_nodes));
-  flat.default_left_bits_.assign(
-      static_cast<size_t>((num_nodes + 63) / 64), 0);
-  for (int64_t i = 0; i < num_nodes; ++i) {
-    MYSAWH_ASSIGN_OR_RETURN(std::string l, next_line());
-    const auto parts = Split(l, ' ');
-    if (parts.size() != 8 || parts[0] != "node") {
-      return Status::InvalidArgument("flat forest: bad node line: " + l);
-    }
-    MYSAWH_ASSIGN_OR_RETURN(int64_t feature, ParseInt64(parts[1]));
-    MYSAWH_ASSIGN_OR_RETURN(int64_t threshold, ParseInt64(parts[2]));
-    MYSAWH_ASSIGN_OR_RETURN(int64_t left, ParseInt64(parts[3]));
-    MYSAWH_ASSIGN_OR_RETURN(int64_t right, ParseInt64(parts[4]));
-    MYSAWH_ASSIGN_OR_RETURN(int64_t default_left, ParseInt64(parts[5]));
-    if (feature < INT16_MIN || feature > INT16_MAX || threshold < 0 ||
-        threshold > 255 || left < INT32_MIN || left > INT32_MAX ||
-        right < INT32_MIN || right > INT32_MAX ||
-        (default_left != 0 && default_left != 1)) {
-      return Status::DataLoss("flat forest: node fields out of range: " + l);
-    }
-    flat.feature_.push_back(static_cast<int16_t>(feature));
-    flat.bin_threshold_.push_back(static_cast<uint8_t>(threshold));
-    flat.left_.push_back(static_cast<int32_t>(left));
-    flat.right_.push_back(static_cast<int32_t>(right));
-    if (default_left == 1) {
-      flat.default_left_bits_[static_cast<size_t>(i >> 6)] |=
-          uint64_t{1} << (i & 63);
-    }
-    MYSAWH_ASSIGN_OR_RETURN(double lf, DecodeDouble(parts[6]));
-    MYSAWH_ASSIGN_OR_RETURN(double rf, DecodeDouble(parts[7]));
-    flat.left_fraction_.push_back(lf);
-    flat.right_fraction_.push_back(rf);
-  }
-  flat.leaf_values_.reserve(bounded(num_leaves));
-  for (int64_t l_index = 0; l_index < num_leaves; ++l_index) {
-    MYSAWH_ASSIGN_OR_RETURN(std::string l, next_line());
-    const auto parts = Split(l, ' ');
-    if (parts.size() != 2 || parts[0] != "leaf") {
-      return Status::InvalidArgument("flat forest: bad leaf line: " + l);
-    }
-    MYSAWH_ASSIGN_OR_RETURN(double value, DecodeDouble(parts[1]));
-    flat.leaf_values_.push_back(value);
-  }
-  // Every load path validates before the bounds-check-free kernels may run.
-  MYSAWH_RETURN_NOT_OK(flat.Validate());
-  // Per-tree walk depths are derived, not trusted from the wire.
-  flat.BuildDerivedState();
-  return flat;
-}
-
-Status FlatForest::SaveToFile(const std::string& path) const {
-  return WriteFileChecksummed(path, Serialize(), "flat_forest_save");
-}
-
-Result<FlatForest> FlatForest::LoadFromFile(const std::string& path) {
-  MYSAWH_ASSIGN_OR_RETURN(std::string payload, ReadFileChecksummed(path));
-  return Deserialize(payload);
 }
 
 }  // namespace mysawh::gbt

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -520,13 +520,14 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
   std::vector<double> feature_split_gains;
   if (TelemetryEnabled()) {
     telemetry = Telemetry::Global().StartStream("train");
-    std::ostringstream header;
-    header << "\"objective\":\"" << ObjectiveTypeName(params_.objective)
-           << "\",\"metric\":\"" << objective_->DefaultMetricName()
-           << "\",\"rows\":" << n << ",\"features\":" << nf
-           << ",\"num_trees\":" << params_.num_trees
-           << ",\"max_depth\":" << params_.max_depth << ",\"learning_rate\":"
-           << TelemetryDouble(params_.learning_rate);
+    JsonWriter header;
+    header.Key("objective").String(ObjectiveTypeName(params_.objective))
+        .Key("metric").String(objective_->DefaultMetricName())
+        .Key("rows").Int(n)
+        .Key("features").Int(nf)
+        .Key("num_trees").Int(params_.num_trees)
+        .Key("max_depth").Int(params_.max_depth)
+        .Key("learning_rate").Number(params_.learning_rate);
     telemetry.Line("header", header.str());
     feature_split_counts.assign(static_cast<size_t>(nf), 0);
     feature_split_gains.assign(static_cast<size_t>(nf), 0.0);
@@ -649,11 +650,12 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       log->rounds.push_back({round, train_metric, valid_metric});
     }
     if (telemetry.active()) {
-      std::ostringstream line;
-      line << "\"round\":" << round << ",\"train\":"
-           << TelemetryDouble(train_metric) << ",\"valid\":"
-           << TelemetryDouble(valid_metric) << ",\"splits\":" << tree_splits
-           << ",\"gain\":" << TelemetryDouble(tree_gain);
+      JsonWriter line;
+      line.Key("round").Int(round)
+          .Key("train").Number(train_metric)
+          .Key("valid").Number(valid_metric)
+          .Key("splits").Int(tree_splits)
+          .Key("gain").Number(tree_gain);
       telemetry.Line("round", line.str());
     }
     // Live progress for the stall watchdog: unlike the bulk flush below,
@@ -681,23 +683,16 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     // Cumulative per-feature split statistics over the whole run (early
     // stopping trims the model, not this tally — the stream records what
     // training did, not what survived).
-    std::ostringstream line;
-    line << "\"names\":[";
-    const auto& names = train_.feature_names();
-    for (size_t f = 0; f < names.size(); ++f) {
-      line << (f == 0 ? "" : ",") << "\"" << TelemetryJsonEscape(names[f])
-           << "\"";
-    }
-    line << "],\"split_counts\":[";
-    for (size_t f = 0; f < feature_split_counts.size(); ++f) {
-      line << (f == 0 ? "" : ",") << feature_split_counts[f];
-    }
-    line << "],\"split_gains\":[";
-    for (size_t f = 0; f < feature_split_gains.size(); ++f) {
-      line << (f == 0 ? "" : ",") << TelemetryDouble(feature_split_gains[f]);
-    }
-    line << "],\"trees\":" << model.trees_.size()
-         << ",\"best_iteration\":" << model.best_iteration_;
+    JsonWriter line;
+    line.Key("names").BeginArray();
+    for (const std::string& name : train_.feature_names()) line.String(name);
+    line.EndArray().Key("split_counts").BeginArray();
+    for (const int64_t count : feature_split_counts) line.Int(count);
+    line.EndArray().Key("split_gains").BeginArray();
+    for (const double gain : feature_split_gains) line.Number(gain);
+    line.EndArray()
+        .Key("trees").Int(model.trees_.size())
+        .Key("best_iteration").Int(model.best_iteration_);
     telemetry.Line("features", line.str());
     telemetry.Finish();
   }

@@ -1,6 +1,10 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace mysawh {
@@ -316,6 +320,111 @@ JsonValue JsonValue::MakeObject(
 Result<JsonValue> ParseJson(const std::string& text) {
   Parser parser(text);
   return parser.ParseDocument();
+}
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string JsonNumber(double value) {
+  if (std::isnan(value)) return "null";
+  if (std::isinf(value)) return value > 0 ? "1e999" : "-1e999";
+  // Every decimal of at most 15 significant digits survives a round trip
+  // through a normal double (DBL_DIG), so %.15g already yields the
+  // shortest digits whenever 15 or fewer suffice; the search adds digits
+  // until strtod (the parser's own reader) gives the value back. A
+  // subnormal carries fewer bits and starts the search at one digit.
+  char buf[40];
+  int precision = std::fabs(value) < DBL_MIN ? 1 : 15;
+  for (;; ++precision) {
+    *std::to_chars(buf, buf + sizeof(buf) - 1, value,
+                   std::chars_format::general, precision)
+         .ptr = '\0';
+    if (precision == 17 || std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+void JsonWriter::Separate() {
+  if (need_comma_) out_ += ',';
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Separate();
+  out_ += bracket;
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::BeginObject() { return Open('{'); }
+JsonWriter& JsonWriter::EndObject() { return Close('}'); }
+JsonWriter& JsonWriter::BeginArray() { return Open('['); }
+JsonWriter& JsonWriter::EndArray() { return Close(']'); }
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  Separate();
+  out_ += '"';
+  out_ += JsonEscape(value);
+  out_ += '"';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double value) { return Raw(JsonNumber(value)); }
+
+JsonWriter& JsonWriter::Bool(bool value) {
+  return Raw(value ? "true" : "false");
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  if (json.empty()) return *this;
+  Separate();
+  out_ += json;
+  need_comma_ = true;
+  return *this;
 }
 
 }  // namespace mysawh

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+
+#include "util/json.h"
 
 namespace mysawh {
 
@@ -91,76 +91,42 @@ LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
 
 namespace {
 
-/// Metric names are restricted to [a-z0-9._/-] by convention, but escape
-/// defensively so the snapshot is valid JSON for any registered name.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// One snapshot section: `{` + one `"name": value` line per instrument +
+/// `}`. The snapshot is the one pretty-printed schema, so it is laid out
+/// here with the escaper directly rather than through JsonWriter.
+template <typename Instruments, typename Render>
+std::string SnapshotSection(const Instruments& instruments, Render render) {
+  std::string out = "{";
+  for (const auto& [name, instrument] : instruments) {
+    if (out.size() > 1) out += ',';
+    out += "\n    \"" + JsonEscape(name) + "\": " + render(*instrument);
   }
-  return out;
+  if (out.size() > 1) out += "\n  ";
+  return out + "}";
 }
 
 }  // namespace
 
 std::string MetricsRegistry::SnapshotJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-       << "\": " << counter->Value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-       << "\": " << gauge->Value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-       << "\": {\"count\": " << histogram->Count()
-       << ", \"sum_us\": " << histogram->SumMicros()
-       << ", \"max_us\": " << histogram->MaxMicros() << ", \"buckets\": [";
+  const auto value = [](const auto& instrument) {
+    return std::to_string(instrument.Value());
+  };
+  const auto histogram = [](const LatencyHistogram& h) {
+    std::string out = "{\"count\": " + std::to_string(h.Count()) +
+                      ", \"sum_us\": " + std::to_string(h.SumMicros()) +
+                      ", \"max_us\": " + std::to_string(h.MaxMicros()) +
+                      ", \"buckets\": [";
     for (int b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-      os << (b == 0 ? "" : ", ") << histogram->BucketCount(b);
+      if (b > 0) out += ", ";
+      out += std::to_string(h.BucketCount(b));
     }
-    os << "]}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+    return out + "]}";
+  };
+  return "{\n  \"counters\": " + SnapshotSection(counters_, value) +
+         ",\n  \"gauges\": " + SnapshotSection(gauges_, value) +
+         ",\n  \"histograms\": " + SnapshotSection(histograms_, histogram) +
+         "\n}\n";
 }
 
 std::vector<std::pair<std::string, int64_t>> MetricsRegistry::CounterValues()

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/resource_stats.h"
 #include "util/trace.h"
@@ -35,22 +35,6 @@ MonitorMetrics& Metrics() {
                           registry.GetCounter("monitor.stalls")};
   }();
   return metrics;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -171,16 +155,17 @@ void Monitor::CheckStall(int64_t uptime_ms) {
   const int64_t queue_depth =
       registry.GetGauge("thread_pool.queue_depth")->Value();
 
-  std::ostringstream event;
-  event << "{\"type\":\"stall\",\"at_uptime_ms\":" << uptime_ms
-        << ",\"silent_ms\":" << silent_ms
-        << ",\"queue_depth\":" << queue_depth << ",\"recent_spans\":[";
-  const std::vector<std::string> spans = Tracer::Global().RecentSpanNames();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    event << (i == 0 ? "" : ",") << "\"" << JsonEscape(spans[i]) << "\"";
+  JsonWriter event;
+  event.BeginObject()
+      .Key("type").String("stall")
+      .Key("at_uptime_ms").Int(uptime_ms)
+      .Key("silent_ms").Int(silent_ms)
+      .Key("queue_depth").Int(queue_depth)
+      .Key("recent_spans").BeginArray();
+  for (const std::string& span : Tracer::Global().RecentSpanNames()) {
+    event.String(span);
   }
-  event << "]}";
-  event_jsons_.push_back(event.str());
+  event_jsons_.push_back(event.EndArray().EndObject().Take());
   if (event_jsons_.size() > kMaxEvents) {
     event_jsons_.erase(event_jsons_.begin());
   }
@@ -191,8 +176,10 @@ void Monitor::CheckStall(int64_t uptime_ms) {
     trace_event.cat = "monitor";
     trace_event.ts_us = Tracer::Global().NowMicros();
     trace_event.dur_us = 0;
-    trace_event.args = "\"silent_ms\":" + std::to_string(silent_ms) +
-                       ",\"queue_depth\":" + std::to_string(queue_depth);
+    trace_event.args = JsonWriter()
+                           .Key("silent_ms").Int(silent_ms)
+                           .Key("queue_depth").Int(queue_depth)
+                           .Take();
     Tracer::Global().Record(std::move(trace_event));
   }
 }
@@ -217,37 +204,25 @@ std::string Monitor::BuildHeartbeatJson(bool final_heartbeat) {
   // Nonzero counter movement since the previous heartbeat. Both lists are
   // name-sorted, so a linear merge finds every new and changed counter.
   const auto current = registry.CounterValues();
-  std::ostringstream delta;
-  {
-    bool first = true;
-    size_t j = 0;
-    for (const auto& [name, value] : current) {
-      while (j < last_counter_values_.size() &&
-             last_counter_values_[j].first < name) {
-        ++j;
-      }
-      int64_t previous = 0;
-      if (j < last_counter_values_.size() &&
-          last_counter_values_[j].first == name) {
-        previous = last_counter_values_[j].second;
-      }
-      if (value != previous) {
-        delta << (first ? "" : ",") << "\"" << JsonEscape(name)
-              << "\":" << (value - previous);
-        first = false;
-      }
+  JsonWriter delta;
+  size_t j = 0;
+  for (const auto& [name, value] : current) {
+    while (j < last_counter_values_.size() &&
+           last_counter_values_[j].first < name) {
+      ++j;
     }
+    int64_t previous = 0;
+    if (j < last_counter_values_.size() &&
+        last_counter_values_[j].first == name) {
+      previous = last_counter_values_[j].second;
+    }
+    if (value != previous) delta.Key(name).Int(value - previous);
   }
   last_counter_values_ = current;
 
-  std::ostringstream progress;
-  {
-    bool first = true;
-    for (const std::string& name : progress_counter_names_) {
-      progress << (first ? "" : ",") << "\"" << JsonEscape(name)
-               << "\":" << registry.GetCounter(name)->Value();
-      first = false;
-    }
+  JsonWriter progress;
+  for (const std::string& name : progress_counter_names_) {
+    progress.Key(name).Int(registry.GetCounter(name)->Value());
   }
 
   const int64_t cells_done =
@@ -258,24 +233,25 @@ std::string Monitor::BuildHeartbeatJson(bool final_heartbeat) {
   const int64_t queue_depth =
       registry.GetGauge("thread_pool.queue_depth")->Value();
 
-  std::ostringstream os;
-  os << "{\"schema\":\"mysawh-status v1\",\"seq\":" << next_seq_++
-     << ",\"final\":" << (final_heartbeat ? "true" : "false")
-     << ",\"uptime_ms\":" << uptime_ms
-     << ",\"interval_ms\":" << options_.interval_ms
-     << ",\"stall_timeout_ms\":" << options_.stall_timeout_ms
-     << ",\"resource\":" << ResourceSampleJson(sample)
-     << ",\"progress\":{" << progress.str() << "}"
-     << ",\"study\":{\"cells_done\":" << cells_done
-     << ",\"cells_total\":" << cells_total << "}"
-     << ",\"queue_depth\":" << queue_depth
-     << ",\"counters_delta\":{" << delta.str() << "}"
-     << ",\"events\":[";
-  for (size_t i = 0; i < event_jsons_.size(); ++i) {
-    os << (i == 0 ? "" : ",") << event_jsons_[i];
-  }
-  os << "]}\n";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("schema").String("mysawh-status v1")
+      .Key("seq").Int(next_seq_++)
+      .Key("final").Bool(final_heartbeat)
+      .Key("uptime_ms").Int(uptime_ms)
+      .Key("interval_ms").Int(options_.interval_ms)
+      .Key("stall_timeout_ms").Int(options_.stall_timeout_ms)
+      .Key("resource").Raw(ResourceSampleJson(sample))
+      .Key("progress").BeginObject().Raw(progress.str()).EndObject()
+      .Key("study").BeginObject()
+      .Key("cells_done").Int(cells_done)
+      .Key("cells_total").Int(cells_total)
+      .EndObject()
+      .Key("queue_depth").Int(queue_depth)
+      .Key("counters_delta").BeginObject().Raw(delta.str()).EndObject()
+      .Key("events").BeginArray();
+  for (const std::string& event : event_jsons_) w.Raw(event);
+  return w.EndArray().EndObject().Take() + "\n";
 }
 
 Status Monitor::ForceHeartbeat(bool final_heartbeat) {

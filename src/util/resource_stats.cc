@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace mysawh {
@@ -136,16 +137,18 @@ void UpdateResourceGauges(const ResourceSample& sample) {
 }
 
 std::string ResourceSampleJson(const ResourceSample& sample) {
-  std::ostringstream os;
-  os << "{\"rss_bytes\":" << sample.rss_bytes
-     << ",\"peak_rss_bytes\":" << sample.peak_rss_bytes << ",\"utime_ms\":"
-     << static_cast<int64_t>(sample.utime_ms) << ",\"stime_ms\":"
-     << static_cast<int64_t>(sample.stime_ms)
-     << ",\"minor_faults\":" << sample.minor_faults
-     << ",\"major_faults\":" << sample.major_faults
-     << ",\"threads\":" << sample.num_threads
-     << ",\"valid\":" << (sample.valid ? "true" : "false") << "}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject()
+      .Key("rss_bytes").Int(sample.rss_bytes)
+      .Key("peak_rss_bytes").Int(sample.peak_rss_bytes)
+      .Key("utime_ms").Int(static_cast<int64_t>(sample.utime_ms))
+      .Key("stime_ms").Int(static_cast<int64_t>(sample.stime_ms))
+      .Key("minor_faults").Int(sample.minor_faults)
+      .Key("major_faults").Int(sample.major_faults)
+      .Key("threads").Int(sample.num_threads)
+      .Key("valid").Bool(sample.valid)
+      .EndObject();
+  return w.Take();
 }
 
 const char* AllocCategoryGaugeName(AllocCategory category) {

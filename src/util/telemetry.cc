@@ -1,12 +1,10 @@
 #include "util/telemetry.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "util/file_io.h"
+#include "util/json.h"
 
 namespace mysawh {
 
@@ -20,54 +18,6 @@ namespace {
 thread_local std::vector<std::string> t_context;
 
 }  // namespace
-
-std::string TelemetryJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string TelemetryDouble(double value) {
-  if (std::isnan(value)) return "null";
-  // Shortest decimal form that round-trips: try increasing precision until
-  // the parse-back is bit-exact. Deterministic for a given bit pattern.
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    double parsed = 0.0;
-    std::sscanf(buf, "%lf", &parsed);
-    if (parsed == value) break;
-  }
-  return buf;
-}
 
 TelemetryScope::TelemetryScope(const std::string& segment) {
   if (!TelemetryEnabled()) return;
@@ -101,19 +51,9 @@ TelemetryStream& TelemetryStream::operator=(TelemetryStream&& other) noexcept {
 
 void TelemetryStream::Line(const char* type, const std::string& fields) {
   if (!active_) return;
-  std::string line;
-  line.reserve(fields.size() + label_.size() + 32);
-  line += "{\"stream\":\"";
-  line += TelemetryJsonEscape(label_);
-  line += "\",\"type\":\"";
-  line += type;
-  line += '"';
-  if (!fields.empty()) {
-    line += ',';
-    line += fields;
-  }
-  line += '}';
-  lines_.push_back(std::move(line));
+  JsonWriter line;
+  line.BeginObject().Key("stream").String(label_).Key("type").String(type);
+  lines_.push_back(line.Raw(fields).EndObject().Take());
 }
 
 void TelemetryStream::Finish() {
@@ -170,13 +110,20 @@ std::string Telemetry::ToJsonl() {
                    [](const Deposited* a, const Deposited* b) {
                      return a->label < b->label;
                    });
-  std::ostringstream os;
-  os << "{\"schema\":\"mysawh-telemetry v1\",\"streams\":" << ordered.size()
-     << "}\n";
+  JsonWriter header;
+  header.BeginObject()
+      .Key("schema").String("mysawh-telemetry v1")
+      .Key("streams").Int(ordered.size())
+      .EndObject();
+  std::string out = header.Take();
+  out += '\n';
   for (const Deposited* stream : ordered) {
-    for (const auto& line : stream->lines) os << line << "\n";
+    for (const auto& line : stream->lines) {
+      out += line;
+      out += '\n';
+    }
   }
-  return os.str();
+  return out;
 }
 
 Status Telemetry::WriteJsonl(const std::string& path) {

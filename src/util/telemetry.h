@@ -55,15 +55,6 @@ inline bool TelemetryEnabled() {
   return telemetry_internal::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// JSON string escaping for telemetry line bodies.
-std::string TelemetryJsonEscape(const std::string& s);
-
-/// Deterministic JSON rendering of a double: shortest round-trip-exact
-/// decimal form ("%.17g" tightened), "null" for NaN, and explicit
-/// "1e9999"-free infinities rendered as +/-1e308 sentinels are never
-/// produced — training metrics are finite or NaN.
-std::string TelemetryDouble(double value);
-
 /// Pushes one '/'-joined segment onto this thread's telemetry context for
 /// the scope's lifetime. Free when telemetry is disabled at construction.
 class TelemetryScope {
@@ -95,7 +86,8 @@ class TelemetryStream {
   const std::string& label() const { return label_; }
 
   /// Appends one JSONL line `{"stream":"<label>","type":"<type>",<fields>}`.
-  /// `fields` is a pre-rendered JSON fragment without braces ("" allowed).
+  /// `fields` is a member fragment without braces ("" allowed), as a
+  /// top-level JsonWriter builds it.
   void Line(const char* type, const std::string& fields);
 
   /// Deposits the buffered lines into the global collector; the stream

@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
-#include <sstream>
 
 #include "util/file_io.h"
 #include "util/metrics.h"
@@ -42,40 +40,6 @@ Counter* DroppedEventsCounter() {
   static Counter* const counter =
       MetricsRegistry::Global().GetCounter("trace.dropped_events");
   return counter;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -212,29 +176,43 @@ size_t Tracer::event_count() {
 
 std::string Tracer::ToJson() {
   const std::vector<TraceEvent> events = Snapshot();
-  const long pid = static_cast<long>(::getpid());
-  std::ostringstream os;
-  os << "{\"traceEvents\":[\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-     << ",\"tid\":0,\"args\":{\"name\":\"mysawh\"}}";
+  const int64_t pid = ::getpid();
+  JsonWriter meta;
+  meta.BeginObject()
+      .Key("name").String("process_name")
+      .Key("ph").String("M")
+      .Key("pid").Int(pid)
+      .Key("tid").Int(0)
+      .Key("args").BeginObject().Key("name").String("mysawh").EndObject()
+      .EndObject();
+  // One event per line; the metadata event always leads, so every span
+  // event starts with the separator.
+  std::string out = "{\"traceEvents\":[\n" + meta.str();
   for (const TraceEvent& event : events) {
-    os << ",\n{\"name\":\"" << JsonEscape(event.name) << "\",\"cat\":\""
-       << JsonEscape(event.cat) << "\",\"ph\":\"X\",\"ts\":" << event.ts_us
-       << ",\"dur\":" << event.dur_us << ",\"pid\":" << pid
-       << ",\"tid\":" << event.tid;
+    JsonWriter w;
+    w.BeginObject()
+        .Key("name").String(event.name)
+        .Key("cat").String(event.cat)
+        .Key("ph").String("X")
+        .Key("ts").Int(event.ts_us)
+        .Key("dur").Int(event.dur_us)
+        .Key("pid").Int(pid)
+        .Key("tid").Int(event.tid);
     // Captured costs join the user args inside the same "args" object so
     // the trace viewer shows them in the detail pane.
-    std::string args = event.args;
-    if (event.cpu_us >= 0) {
-      if (!args.empty()) args += ",";
-      args += "\"cpu_us\":" + std::to_string(event.cpu_us) +
-              ",\"alloc_bytes\":" + std::to_string(event.alloc_bytes);
+    if (!event.args.empty() || event.cpu_us >= 0) {
+      w.Key("args").BeginObject().Raw(event.args);
+      if (event.cpu_us >= 0) {
+        w.Key("cpu_us").Int(event.cpu_us);
+        w.Key("alloc_bytes").Int(event.alloc_bytes);
+      }
+      w.EndObject();
     }
-    if (!args.empty()) os << ",\"args\":{" << args << "}";
-    os << "}";
+    out += ",\n";
+    out += w.EndObject().str();
   }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return os.str();
+  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  return out;
 }
 
 Status Tracer::WriteJson(const std::string& path) {
@@ -259,9 +237,8 @@ std::string Tracer::CostTableJson(int top_n) {
 
   using Entry = std::pair<std::string, NameCost>;
   std::vector<Entry> entries(by_name.begin(), by_name.end());
-  const auto render = [&entries, top_n](
-                          std::ostringstream& os,
-                          int64_t NameCost::*key) {
+  const auto render = [&entries, top_n](JsonWriter& w,
+                                        int64_t NameCost::*key) {
     // Descending on the key; the map iteration order already breaks ties
     // by ascending name, and stable_sort preserves it.
     std::stable_sort(entries.begin(), entries.end(),
@@ -269,21 +246,24 @@ std::string Tracer::CostTableJson(int top_n) {
                        return a.second.*key > b.second.*key;
                      });
     const int n = std::min<int>(top_n, static_cast<int>(entries.size()));
+    w.BeginArray();
     for (int i = 0; i < n; ++i) {
       const Entry& e = entries[i];
-      os << (i == 0 ? "" : ",") << "{\"name\":\"" << JsonEscape(e.first)
-         << "\",\"count\":" << e.second.count
-         << ",\"cpu_us\":" << e.second.cpu_us
-         << ",\"alloc_bytes\":" << e.second.alloc_bytes << "}";
+      w.BeginObject()
+          .Key("name").String(e.first)
+          .Key("count").Int(e.second.count)
+          .Key("cpu_us").Int(e.second.cpu_us)
+          .Key("alloc_bytes").Int(e.second.alloc_bytes)
+          .EndObject();
     }
+    w.EndArray();
   };
-  std::ostringstream os;
-  os << "{\"by_cpu\":[";
-  render(os, &NameCost::cpu_us);
-  os << "],\"by_bytes\":[";
-  render(os, &NameCost::alloc_bytes);
-  os << "]}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject().Key("by_cpu");
+  render(w, &NameCost::cpu_us);
+  w.Key("by_bytes");
+  render(w, &NameCost::alloc_bytes);
+  return w.EndObject().Take();
 }
 
 TraceSpan& TraceSpan::operator=(TraceSpan&& other) noexcept {
@@ -324,17 +304,13 @@ void TraceSpan::Finish() {
     event.alloc_bytes = ThreadAllocBytes() - start_alloc_bytes_;
     if (event.cpu_us < 0) event.cpu_us = 0;
   }
-  event.args = std::move(args_);
+  event.args = args_.Take();
   Tracer::Global().Record(std::move(event));
 }
 
 void TraceSpan::Arg(const char* key, int64_t value) {
   if (!active_) return;
-  if (!args_.empty()) args_ += ",";
-  args_ += "\"";
-  args_ += JsonEscape(key);
-  args_ += "\":";
-  args_ += std::to_string(value);
+  args_.Key(key).Int(value);
 }
 
 }  // namespace mysawh

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
 #include "util/status.h"
 
 namespace mysawh {
@@ -199,7 +200,7 @@ class TraceSpan {
   int64_t start_us_ = 0;
   int64_t start_cpu_us_ = 0;    ///< CLOCK_THREAD_CPUTIME_ID at Begin.
   int64_t start_alloc_bytes_ = 0;  ///< ThreadAllocBytes() at Begin.
-  std::string args_;
+  JsonWriter args_;  ///< Member fragment for TraceEvent::args.
 };
 
 }  // namespace mysawh

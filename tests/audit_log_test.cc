@@ -92,6 +92,41 @@ TEST(AuditLogTest, PredictRoundTripPreservesEveryField) {
   EXPECT_TRUE(std::isnan(second.prediction));
 }
 
+TEST(AuditLogTest, NonFiniteFeaturesRoundTrip) {
+  // Wearable feeds can carry +/-Inf next to missing (NaN) cells. The log
+  // must write them as JSON the parser reads back (1e999 / -1e999 / null),
+  // and the fingerprint must still match the parsed features.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  AuditLog& log = AuditLog::Global();
+  AuditOptions options;
+  options.sample_rate = 1;
+  ASSERT_TRUE(log.Configure(options).ok());
+  Dataset data = Dataset::Create({"a", "b", "c"});
+  ASSERT_TRUE(data.AddRow({kInf, -kInf, kNaN}, 0.0).ok());
+  log.RecordPredictBatch(7, data, {kInf});
+  log.RecordShapBatch(7, data, {{-kInf, 0.5, 0.25}});
+  log.Disable();
+  const std::string payload = log.SerializePayload();
+  EXPECT_NE(payload.find("[1e999,-1e999,null]"), std::string::npos)
+      << payload;
+
+  const AuditFile parsed = ParseAuditPayload(payload).value();
+  ASSERT_EQ(parsed.records.size(), 2u);
+  for (const AuditRecord& record : parsed.records) {
+    ASSERT_EQ(record.features.size(), 3u);
+    EXPECT_EQ(record.features[0], kInf);
+    EXPECT_EQ(record.features[1], -kInf);
+    EXPECT_TRUE(std::isnan(record.features[2]));
+    if (record.type == "predict") {
+      EXPECT_EQ(record.prediction, kInf);
+    } else {
+      ASSERT_FALSE(record.shap.empty());
+      EXPECT_EQ(record.shap[0].index, 0);
+      EXPECT_EQ(record.shap[0].value, -kInf);
+    }
+  }
+}
+
 TEST(HashRowTest, SampleKeyIsTheAvalanchedHashOfTheLeadingFeatures) {
   // The sampling decision runs for every row, so the key only reads the
   // first min(4, n) features (the full-row hash is reserved for the

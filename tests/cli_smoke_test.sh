@@ -200,6 +200,15 @@ head -c "$(( $(wc -c < smoke_audit.bin) / 2 ))" smoke_audit.bin > truncated.audi
 code_of "$CLI" audit-replay --audit truncated.audit --model smoke.model
 test "$code" -eq 2 || { echo "truncated audit log must exit 2, got $code" >&2; exit 1; }
 
+# Infinite feature values (a wearable feed can carry them) are logged as
+# +/-1e999, so the log of a run over them replays cleanly.
+awk -F, 'BEGIN { OFS = "," } NR >= 2 && NR <= 6 { $2 = "inf" } NR == 7 { $3 = "-inf" } { print }' \
+  smoke_dd_fi.csv > smoke_inf.csv
+"$CLI" predict --model smoke.model --data smoke_inf.csv --out preds_inf.csv \
+  --audit-out smoke_inf_audit.bin --audit-sample-rate 1 > /dev/null
+"$CLI" audit-replay --audit smoke_inf_audit.bin --model smoke.model \
+  | grep -q "all match" || { echo "audit log with inf features must replay" >&2; exit 1; }
+
 # --- report degrades gracefully on sparse manifests -----------------------
 # A manifest from an older pipeline (no cells / data_quality / telemetry
 # blocks) must render with warnings, not fail: exit 0, warning on stderr.

@@ -1,12 +1,9 @@
 /// Unit tests of the compiled flat-forest inference block: exact
-/// equivalence with the reference pointer walker, compile gates, the
-/// checksummed serialization round trip, and Validate strictness.
+/// equivalence with the reference pointer walker and the compile gates.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -17,8 +14,6 @@
 
 namespace mysawh::gbt {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -74,7 +69,6 @@ TEST(FlatForestTest, CompiledShapeMatchesTheTrees) {
   EXPECT_EQ(flat->num_leaves(), leaves);
   EXPECT_EQ(flat->num_trees(), static_cast<int>(model.trees().size()));
   EXPECT_EQ(flat->num_features(), model.num_features());
-  EXPECT_TRUE(flat->Validate().ok());
 }
 
 TEST(FlatForestTest, BinRowMatchesThresholdComparisons) {
@@ -105,37 +99,6 @@ TEST(FlatForestTest, BinRowMatchesThresholdComparisons) {
   uint8_t bin = 0;
   flat.BinRow(&nan, &bin);
   EXPECT_EQ(bin, kFlatMissingBin);
-}
-
-TEST(FlatForestTest, SerializeRoundTripsBitIdentically) {
-  const Dataset train = MakeData(500, 4);
-  const GbtModel model = TrainModel(train);
-  const FlatForest* flat = model.flat_forest();
-  ASSERT_NE(flat, nullptr);
-  const std::string text = flat->Serialize();
-  const FlatForest restored = FlatForest::Deserialize(text).value();
-  EXPECT_EQ(restored.Serialize(), text);
-  const Dataset probe = MakeData(100, 5, /*missing_rate=*/0.3);
-  std::vector<double> a(static_cast<size_t>(probe.num_rows()));
-  std::vector<double> b(a.size());
-  flat->PredictRaw(probe, model.base_score(), a.data());
-  restored.PredictRaw(probe, model.base_score(), b.data());
-  EXPECT_EQ(a, b);
-}
-
-TEST(FlatForestTest, FileRoundTripThroughChecksummedEnvelope) {
-  const Dataset train = MakeData(300, 6);
-  const GbtModel model = TrainModel(train, 8);
-  const FlatForest* flat = model.flat_forest();
-  ASSERT_NE(flat, nullptr);
-  const fs::path dir = fs::temp_directory_path() /
-                       ("mysawh_flat_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  const std::string path = (dir / "forest.flat").string();
-  ASSERT_TRUE(flat->SaveToFile(path).ok());
-  const FlatForest restored = FlatForest::LoadFromFile(path).value();
-  EXPECT_EQ(restored.Serialize(), flat->Serialize());
-  fs::remove_all(dir);
 }
 
 TEST(FlatForestTest, TooManyDistinctThresholdsFallsBackToReference) {
@@ -184,14 +147,11 @@ TEST(FlatForestTest, SingleLeafTreesCompile) {
   EXPECT_EQ(flat.num_nodes(), 0);
   EXPECT_EQ(flat.num_leaves(), 1);
   EXPECT_EQ(flat.max_depth(), 0);
-  EXPECT_TRUE(flat.Validate().ok());
   Dataset probe = Dataset::Create({"a", "b"});
   ASSERT_TRUE(probe.AddRow({0.5, kNaN}, 0.0).ok());
   double out = 0.0;
   flat.PredictRaw(probe, 1.0, &out);
   EXPECT_EQ(out, 1.25);
-  const FlatForest restored = FlatForest::Deserialize(flat.Serialize()).value();
-  EXPECT_EQ(restored.Serialize(), flat.Serialize());
 }
 
 }  // namespace

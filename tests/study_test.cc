@@ -78,6 +78,10 @@ TEST(StudyTest, ResultsIndependentOfThreadCount) {
     EXPECT_EQ(cell.HeadlineMetric(), it->second.HeadlineMetric());
     EXPECT_EQ(cell.model->Serialize(), it->second.model->Serialize());
   }
+  // More threads than the 12 cells: clamped to one worker per cell, same
+  // report.
+  config.num_threads = 64;
+  EXPECT_EQ(RunFullStudy(config).value().ToMarkdown(), sequential.ToMarkdown());
 }
 
 TEST(StudyTest, MissingCellLookupFails) {

@@ -122,24 +122,6 @@ TEST(TelemetryTest, ConcurrentDepositsSerializeDeterministically) {
   }
 }
 
-TEST(TelemetryTest, DoubleRenderingIsRoundTripExactAndDeterministic) {
-  for (double value :
-       {0.1, 1.0 / 3.0, 123456.789, 1e-300, 1e300, -0.0, 42.0}) {
-    const std::string text = TelemetryDouble(value);
-    EXPECT_EQ(std::stod(text), value) << text;
-  }
-  EXPECT_EQ(TelemetryDouble(std::numeric_limits<double>::quiet_NaN()),
-            "null");
-  EXPECT_EQ(TelemetryDouble(0.5), "0.5");
-  EXPECT_EQ(TelemetryDouble(2.0), "2");
-}
-
-TEST(TelemetryTest, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(TelemetryJsonEscape("plain"), "plain");
-  EXPECT_EQ(TelemetryJsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-  EXPECT_EQ(TelemetryJsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(TelemetryTest, MoveTransfersOwnership) {
   TelemetrySession session;
   TelemetryStream stream = Telemetry::Global().StartStream("moved");

@@ -531,7 +531,7 @@ std::string ShapCell(const std::vector<core::AuditShapEntry>& entries) {
     if (!out.empty()) out += ';';
     out += std::to_string(entry.index);
     out += '=';
-    out += TelemetryDouble(entry.value);
+    out += JsonNumber(entry.value);
   }
   return out.empty() ? "-" : out;
 }
@@ -587,8 +587,8 @@ Status RunAuditReplay(const FlagParser& flags) {
     MYSAWH_ASSIGN_OR_RETURN(std::vector<double> preds,
                             model->PredictBatch(rows));
     for (size_t i = 0; i < predicts.size(); ++i) {
-      report("predict", *predicts[i], TelemetryDouble(predicts[i]->prediction),
-             TelemetryDouble(preds[i]),
+      report("predict", *predicts[i], JsonNumber(predicts[i]->prediction),
+             JsonNumber(preds[i]),
              ReplayMatches(predicts[i]->prediction, preds[i]));
     }
   }
