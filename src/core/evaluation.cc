@@ -191,10 +191,9 @@ Status ValidateConfig(const ModelFamilyConfig& config) {
 
 }  // namespace
 
-Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
-                                       Approach approach, bool with_fi,
-                                       const ModelFamilyConfig& config,
-                                       const EvalProtocol& protocol) {
+Result<ExperimentPlan> ExperimentPlan::Create(
+    const Dataset& samples, Outcome outcome, Approach approach, bool with_fi,
+    const ModelFamilyConfig& config, const EvalProtocol& protocol) {
   if (samples.num_rows() < 10) {
     return Status::InvalidArgument("experiment needs at least 10 samples");
   }
@@ -203,7 +202,10 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
   }
   MYSAWH_RETURN_NOT_OK(ValidateConfig(config));
 
-  ExperimentResult result;
+  ExperimentPlan plan;
+  plan.config_ = config;
+  plan.protocol_ = protocol;
+  ExperimentResult& result = plan.result_;
   result.outcome = outcome;
   result.approach = approach;
   result.with_fi = with_fi;
@@ -225,66 +227,81 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
   MYSAWH_ASSIGN_OR_RETURN(result.test, samples.Take(split.test));
 
   // K-fold CV on the train partition.
-  std::vector<Fold> folds;
   if (result.is_classification) {
     MYSAWH_ASSIGN_OR_RETURN(
-        folds,
+        plan.folds_,
         StratifiedKFoldSplit(result.train.labels(), protocol.cv_folds, &rng));
+    plan.fold_cls_.resize(plan.folds_.size());
   } else {
     MYSAWH_ASSIGN_OR_RETURN(
-        folds, KFoldSplit(result.train.num_rows(), protocol.cv_folds, &rng));
+        plan.folds_,
+        KFoldSplit(result.train.num_rows(), protocol.cv_folds, &rng));
+    plan.fold_reg_.resize(plan.folds_.size());
   }
-  std::vector<RegressionMetrics> fold_reg;
-  std::vector<ClassificationMetrics> fold_cls;
-  for (size_t fold_index = 0; fold_index < folds.size(); ++fold_index) {
-    const Fold& fold = folds[fold_index];
-    MYSAWH_ASSIGN_OR_RETURN(Dataset fold_train,
-                            result.train.Take(fold.train));
-    MYSAWH_ASSIGN_OR_RETURN(Dataset fold_valid,
-                            result.train.Take(fold.validation));
-    // With telemetry on, the fold's held-out side is tracked per boosting
-    // round (stream "<context>/cv<k>/train"). Early stopping is off in the
-    // study protocol, so the trained model — and therefore every reported
-    // metric — is bit-identical whether or not the validation set is
-    // passed through.
-    TelemetryScope fold_scope("cv" + std::to_string(fold_index));
-    MYSAWH_ASSIGN_OR_RETURN(
-        std::unique_ptr<model::Model> model,
-        TrainModel(fold_train, outcome, config,
-                   TelemetryEnabled() ? &fold_valid : nullptr));
-    MYSAWH_ASSIGN_OR_RETURN(std::vector<double> preds,
-                            model->PredictBatch(fold_valid));
-    if (result.is_classification) {
-      MYSAWH_ASSIGN_OR_RETURN(
-          ClassificationMetrics m,
-          ComputeClassificationMetrics(fold_valid.labels(), preds,
-                                       protocol.decision_threshold));
-      fold_cls.push_back(m);
-    } else {
-      MYSAWH_ASSIGN_OR_RETURN(
-          RegressionMetrics m,
-          ComputeRegressionMetrics(fold_valid.labels(), preds));
-      fold_reg.push_back(m);
-    }
-  }
-  result.cv_regression = MeanRegression(fold_reg);
-  result.cv_classification = MeanClassification(fold_cls);
+  plan.fit_status_.assign(plan.folds_.size() + 1,
+                          Status::Internal("fit never ran"));
+  return plan;
+}
 
-  // Final model on all train rows, evaluated on the held-out test rows.
-  {
+Status ExperimentPlan::Fit(int k) {
+  Status status = RunFit(k);
+  fit_status_[static_cast<size_t>(k)] = status;
+  return status;
+}
+
+Status ExperimentPlan::RunFit(int k) {
+  const Outcome outcome = result_.outcome;
+  if (is_final_fit(k)) {
+    // Final model on all train rows, evaluated on the test rows in Finish.
     TelemetryScope final_scope("final");
     MYSAWH_ASSIGN_OR_RETURN(
-        result.model,
-        TrainModel(result.train, outcome, config,
-                   TelemetryEnabled() ? &result.test : nullptr));
+        result_.model,
+        TrainModel(result_.train, outcome, config_,
+                   TelemetryEnabled() ? &result_.test : nullptr));
+    return Status::Ok();
   }
+  const Fold& fold = folds_[static_cast<size_t>(k)];
+  MYSAWH_ASSIGN_OR_RETURN(Dataset fold_train, result_.train.Take(fold.train));
+  MYSAWH_ASSIGN_OR_RETURN(Dataset fold_valid,
+                          result_.train.Take(fold.validation));
+  // With telemetry on, the fold's held-out side is tracked per boosting
+  // round (stream "<context>/cv<k>/train"). Early stopping is off in the
+  // study protocol, so the trained model — and therefore every reported
+  // metric — is bit-identical whether or not the validation set is
+  // passed through.
+  TelemetryScope fold_scope("cv" + std::to_string(k));
+  MYSAWH_ASSIGN_OR_RETURN(
+      std::unique_ptr<model::Model> model,
+      TrainModel(fold_train, outcome, config_,
+                 TelemetryEnabled() ? &fold_valid : nullptr));
+  MYSAWH_ASSIGN_OR_RETURN(std::vector<double> preds,
+                          model->PredictBatch(fold_valid));
+  if (result_.is_classification) {
+    MYSAWH_ASSIGN_OR_RETURN(
+        fold_cls_[static_cast<size_t>(k)],
+        ComputeClassificationMetrics(fold_valid.labels(), preds,
+                                     protocol_.decision_threshold));
+  } else {
+    MYSAWH_ASSIGN_OR_RETURN(
+        fold_reg_[static_cast<size_t>(k)],
+        ComputeRegressionMetrics(fold_valid.labels(), preds));
+  }
+  return Status::Ok();
+}
+
+Result<ExperimentResult> ExperimentPlan::Finish() {
+  for (const Status& status : fit_status_) MYSAWH_RETURN_NOT_OK(status);
+  ExperimentResult result = std::move(result_);
+  result.cv_regression = MeanRegression(fold_reg_);
+  result.cv_classification = MeanClassification(fold_cls_);
+
   MYSAWH_ASSIGN_OR_RETURN(std::vector<double> test_preds,
                           result.model->PredictBatch(result.test));
   if (result.is_classification) {
     MYSAWH_ASSIGN_OR_RETURN(
         result.test_classification,
         ComputeClassificationMetrics(result.test.labels(), test_preds,
-                                     protocol.decision_threshold));
+                                     protocol_.decision_threshold));
   } else {
     MYSAWH_ASSIGN_OR_RETURN(
         result.test_regression,
@@ -324,6 +341,18 @@ Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
     }
   }
   return result;
+}
+
+Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
+                                       Approach approach, bool with_fi,
+                                       const ModelFamilyConfig& config,
+                                       const EvalProtocol& protocol) {
+  MYSAWH_ASSIGN_OR_RETURN(
+      ExperimentPlan plan,
+      ExperimentPlan::Create(samples, outcome, approach, with_fi, config,
+                             protocol));
+  for (int k = 0; k < plan.num_fits(); ++k) MYSAWH_RETURN_NOT_OK(plan.Fit(k));
+  return plan.Finish();
 }
 
 Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,

@@ -8,6 +8,7 @@
 #include "core/metrics.h"
 #include "core/outcomes.h"
 #include "data/dataset.h"
+#include "data/split.h"
 #include "gam/gam_model.h"
 #include "gbt/gbt_model.h"
 #include "model/model.h"
@@ -109,11 +110,58 @@ Result<std::unique_ptr<model::Model>> TrainModel(
     const Dataset& train, Outcome outcome, const ModelFamilyConfig& config,
     const Dataset* validation = nullptr);
 
+/// One experiment cell cut into the steps a scheduler runs apart:
+///  - plan (Create): the 80/20 split (stratified for Falls), the train/test
+///    partitions and the CV fold index lists, drawn from the protocol's Rng;
+///  - fit k (Fit): fits 0..K-1 train on CV fold k and score its held-out
+///    rows; fit K trains the final model on all train rows. Each fit builds
+///    its own fold datasets, so besides the train/test partitions a plan
+///    holds only index lists;
+///  - finish (Finish): the first failed fit in fold order, else the fold
+///    means, the test evaluation and the eval telemetry.
+/// Distinct fits may run concurrently; Finish runs after every Fit has
+/// returned. Every step is a pure function of the inputs and the protocol
+/// seed, so the result does not depend on the order or thread of the fits.
+class ExperimentPlan {
+ public:
+  /// Validates the inputs and plans the cell. The partitions are copied
+  /// out of `samples`, so it need not outlive the plan.
+  static Result<ExperimentPlan> Create(const Dataset& samples,
+                                       Outcome outcome, Approach approach,
+                                       bool with_fi,
+                                       const ModelFamilyConfig& config,
+                                       const EvalProtocol& protocol);
+
+  /// CV folds plus the final fit.
+  int num_fits() const { return static_cast<int>(fit_status_.size()); }
+  /// True for the fit that trains the final model (the last one).
+  bool is_final_fit(int k) const { return k + 1 == num_fits(); }
+
+  /// Runs fit `k` under the telemetry scope "cv<k>" or "final", and
+  /// records its status for Finish.
+  Status Fit(int k);
+
+  /// Reduces the fits into the cell's result; call once.
+  Result<ExperimentResult> Finish();
+
+ private:
+  ExperimentPlan() = default;
+  Status RunFit(int k);
+
+  ExperimentResult result_;
+  ModelFamilyConfig config_;
+  EvalProtocol protocol_;
+  std::vector<Fold> folds_;
+  std::vector<Status> fit_status_;
+  std::vector<RegressionMetrics> fold_reg_;       ///< Regression cells.
+  std::vector<ClassificationMetrics> fold_cls_;   ///< Classification cells.
+};
+
 /// Runs one experiment cell on a sample set (pass SampleSets::dd, dd_fi,
 /// kd or kd_fi; `approach`/`with_fi` are recorded as metadata): splits
 /// 80/20 (stratified for Falls), K-fold cross-validates on the train side,
 /// trains the final model on all train rows, and evaluates on the test
-/// side.
+/// side. The ExperimentPlan steps, in order, on the calling thread.
 Result<ExperimentResult> RunExperiment(const Dataset& samples, Outcome outcome,
                                        Approach approach, bool with_fi,
                                        const ModelFamilyConfig& config,

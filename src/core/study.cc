@@ -4,9 +4,11 @@
 #include <time.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -63,6 +65,20 @@ double ThreadCpuMillis() {
   return static_cast<double>(ts.tv_sec) * 1e3 +
          static_cast<double>(ts.tv_nsec) * 1e-6;
 }
+
+/// Wall and calling-thread CPU milliseconds since construction.
+struct Stopwatch {
+  std::chrono::steady_clock::time_point wall_start =
+      std::chrono::steady_clock::now();
+  double cpu_start = ThreadCpuMillis();
+
+  double WallMs() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - wall_start)
+        .count();
+  }
+  double CpuMs() const { return ThreadCpuMillis() - cpu_start; }
+};
 
 }  // namespace
 
@@ -164,9 +180,10 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
     TraceSpan span("study.generate_cohort", "study");
     MYSAWH_ASSIGN_OR_RETURN(cohort, simulator.Generate());
   }
-  // Build all sample sets up front (the builder is stateful), then fan the
-  // twelve independent cells out over a pool. Each cell seeds its own Rng
-  // from the protocol, so the grid is deterministic for any thread count.
+  // Build all sample sets up front (the builder is stateful), then plan the
+  // twelve independent cells and fan their fits out over a pool. Each cell
+  // seeds its own Rng from the protocol, so the grid is deterministic for
+  // any thread count.
   struct CellJob {
     const Dataset* data = nullptr;
     Outcome outcome = Outcome::kQol;
@@ -197,72 +214,40 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
     }
   }
 
-  int num_threads = config.num_threads;
-  if (num_threads == 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  // At most one worker per cell: more would sit idle, and a huge request
-  // would ask the OS for that many threads.
-  num_threads = std::min(num_threads, static_cast<int>(jobs.size()));
   const bool checkpointing = !config.checkpoint_dir.empty();
   const std::string fingerprint = StudyFingerprint(config);
   if (checkpointing) {
     MYSAWH_RETURN_NOT_OK(EnsureCheckpointDir(config.checkpoint_dir));
   }
-  ThreadPool pool(num_threads);
   Metrics().cells_total->Set(static_cast<int64_t>(jobs.size()));
-  std::vector<Result<ExperimentResult>> outcomes_by_cell;
-  outcomes_by_cell.reserve(jobs.size());
+
+  // Planning pass, in grid order: a cell is resumed from its checkpoint,
+  // failed by the `study/cell_run` failpoint, or planned into fits. Only
+  // planned cells submit work.
+  struct CellRun {
+    Result<ExperimentResult> outcome = Status::Internal("cell never ran");
+    std::optional<ExperimentPlan> plan;
+    std::atomic<int> fits_left{0};
+    /// Summed over the cell's fit tasks (see CellTiming).
+    std::atomic<double> wall_ms{0.0}, cpu_ms{0.0};
+    bool resumed = false;
+  };
+  std::vector<CellRun> runs(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    outcomes_by_cell.emplace_back(Status::Internal("cell never ran"));
-  }
-  std::vector<CellTiming> timings_by_cell(jobs.size());
-  // Longest first: a DD cell costs about five KD cells, so the DD cells are
-  // dispatched before the KD cells and the short ones fill in behind them.
-  // Slots stay indexed by grid position, so only the start order changes.
-  std::vector<size_t> dispatch_order;
-  dispatch_order.reserve(jobs.size());
-  for (const Approach approach :
-       {Approach::kDataDriven, Approach::kKnowledgeDriven}) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].approach == approach) dispatch_order.push_back(i);
-    }
-  }
-  pool.ParallelFor(static_cast<int64_t>(jobs.size()), [&](int64_t k) {
-    const size_t i = dispatch_order[static_cast<size_t>(k)];
     const CellJob& job = jobs[i];
-    auto& slot = outcomes_by_cell[i];
-    CellTiming& timing = timings_by_cell[i];
-    const StudyCellKey key{job.outcome, job.approach, job.with_fi};
-    // Span names are dynamic, so build one only when tracing is on (the
-    // disabled fast path must not allocate).
-    TraceSpan cell_span;
-    if (TracingEnabled()) {
-      cell_span = TraceSpan("study.cell/" + StudyCellName(key), "study");
-    }
-    // Each cell runs wholly on one pool thread, so a thread-local telemetry
-    // context uniquely labels its streams ("QoL-DD-fi0/cv2/train", ...)
-    // regardless of which worker picked the cell up.
-    TelemetryScope cell_scope(StudyCellName(key));
-    ScopedLatencyTimer cell_timer(Metrics().cell_us);
-    const auto wall_start = std::chrono::steady_clock::now();
-    const double cpu_start = ThreadCpuMillis();
-    auto finish_timing = [&](bool resumed) {
-      timing.wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
-      timing.cpu_ms = ThreadCpuMillis() - cpu_start;
-      timing.resumed = resumed;
-    };
+    CellRun& run = runs[i];
     if (checkpointing && config.resume) {
+      const Stopwatch stopwatch;
       Result<ExperimentResult> loaded =
           LoadCellCheckpoint(config.checkpoint_dir, fingerprint, job.outcome,
                              job.approach, job.with_fi);
       if (loaded.ok()) {
         Metrics().resume_hits->Increment();
-        slot = std::move(loaded);
-        finish_timing(/*resumed=*/true);
-        return;
+        run.outcome = std::move(loaded);
+        run.wall_ms = stopwatch.WallMs();
+        run.cpu_ms = stopwatch.CpuMs();
+        run.resumed = true;
+        continue;
       }
       // NotFound (never checkpointed), DataLoss (corrupt file) and
       // FailedPrecondition (different configuration) all mean the same
@@ -270,34 +255,101 @@ Result<StudyResult> RunFullStudy(const StudyConfig& config) {
       Metrics().resume_misses->Increment();
     }
     if (auto injected = FailpointRegistry::Global().Check("study/cell_run")) {
-      slot = *std::move(injected);
-      finish_timing(/*resumed=*/false);
-      return;
+      run.outcome = *std::move(injected);
+      continue;
     }
-    ModelFamilyConfig model_config =
-        DefaultModelConfig(job.outcome, job.approach, config.model_family);
-    slot = RunExperiment(*job.data, job.outcome, job.approach, job.with_fi,
-                         model_config, config.protocol);
-    Metrics().cells_computed->Increment();
-    if (slot.ok() && checkpointing) {
-      const Status saved =
-          SaveCellCheckpoint(config.checkpoint_dir, fingerprint, *slot);
-      // A cell whose checkpoint cannot be written counts as failed: the
-      // study's contract is that a later --resume never silently re-runs
-      // work it reported as persisted.
-      if (!saved.ok()) slot = saved;
+    Result<ExperimentPlan> plan = ExperimentPlan::Create(
+        *job.data, job.outcome, job.approach, job.with_fi,
+        DefaultModelConfig(job.outcome, job.approach, config.model_family),
+        config.protocol);
+    if (!plan.ok()) {
+      run.outcome = plan.status();
+      Metrics().cells_computed->Increment();
+      continue;
     }
-    finish_timing(/*resumed=*/false);
-  });
+    run.plan.emplace(std::move(plan).value());
+    run.fits_left = run.plan->num_fits();
+  }
+
+  // One task per fit, longest first: a DD fit costs about five KD fits and
+  // a final fit sees 1/(1 - 1/K) times a CV fit's rows, so the order is DD
+  // finals, DD CV fits, KD finals, KD CV fits, each in grid order. Idle
+  // workers take the next task from the FIFO queue, which is the
+  // longest-processing-time-first schedule. Results stay in per-cell slots
+  // and are collected in grid order, so only the start order changes.
+  std::vector<std::pair<size_t, int>> tasks;
+  for (const Approach approach :
+       {Approach::kDataDriven, Approach::kKnowledgeDriven}) {
+    for (const bool final_fits : {true, false}) {
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        if (jobs[i].approach != approach || !runs[i].plan) continue;
+        for (int k = 0; k < runs[i].plan->num_fits(); ++k) {
+          if (runs[i].plan->is_final_fit(k) == final_fits) {
+            tasks.emplace_back(i, k);
+          }
+        }
+      }
+    }
+  }
+
+  int num_threads = config.num_threads;
+  if (num_threads == 0) {
+    num_threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  // At most one worker per fit: more would sit idle, and a huge request
+  // would ask the OS for that many threads.
+  num_threads = std::min(num_threads, static_cast<int>(tasks.size()));
+  ThreadPool pool(num_threads);
+  for (const auto& [i, k] : tasks) {
+    pool.Submit([&, i = i, k = k] {
+      CellRun& run = runs[i];
+      const StudyCellKey key{jobs[i].outcome, jobs[i].approach,
+                             jobs[i].with_fi};
+      // Span names are dynamic, so build one only when tracing is on (the
+      // disabled fast path must not allocate).
+      TraceSpan cell_span;
+      if (TracingEnabled()) {
+        cell_span = TraceSpan("study.cell/" + StudyCellName(key), "study");
+      }
+      // A fit runs wholly on one pool thread, so a thread-local telemetry
+      // context uniquely labels its streams ("QoL-DD-fi0/cv2/train", ...)
+      // regardless of which worker picked it up.
+      TelemetryScope cell_scope(StudyCellName(key));
+      const Stopwatch stopwatch;
+      // The fit's status is kept in the plan and reported by Finish.
+      (void)run.plan->Fit(k);
+      // The cell's last fit finishes it on this thread; the atomic
+      // decrement orders the other fits' results before the finish.
+      if (--run.fits_left == 0) {
+        run.outcome = run.plan->Finish();
+        Metrics().cells_computed->Increment();
+        if (run.outcome.ok() && checkpointing) {
+          const Status saved = SaveCellCheckpoint(config.checkpoint_dir,
+                                                  fingerprint, *run.outcome);
+          // A cell whose checkpoint cannot be written counts as failed:
+          // the study's contract is that a later --resume never silently
+          // re-runs work it reported as persisted.
+          if (!saved.ok()) run.outcome = saved;
+        }
+      }
+      run.wall_ms += stopwatch.WallMs();
+      run.cpu_ms += stopwatch.CpuMs();
+    });
+  }
+  pool.Wait();
 
   // Collect in grid order so the first error reported is deterministic too.
   for (size_t i = 0; i < jobs.size(); ++i) {
+    CellRun& run = runs[i];
+    const CellTiming timing{run.wall_ms, run.cpu_ms, run.resumed};
+    if (run.resumed || run.plan) {
+      Metrics().cell_us->Record(static_cast<int64_t>(timing.wall_ms * 1e3));
+    }
     const StudyCellKey key{jobs[i].outcome, jobs[i].approach,
                            jobs[i].with_fi};
-    MYSAWH_ASSIGN_OR_RETURN(ExperimentResult result,
-                            std::move(outcomes_by_cell[i]));
+    MYSAWH_ASSIGN_OR_RETURN(ExperimentResult result, std::move(run.outcome));
     study.cells.emplace(key, std::move(result));
-    study.timings.emplace(key, timings_by_cell[i]);
+    study.timings.emplace(key, timing);
   }
   // Profile each cell's train/test partition for the run manifest. Pure
   // function of the datasets, so this adds no nondeterminism and never

@@ -20,10 +20,11 @@ struct StudyConfig {
   EvalProtocol protocol;
   /// Model family trained in every cell (kGbt reproduces the paper).
   ModelFamily model_family = ModelFamily::kGbt;
-  /// Worker threads for the 12-cell grid; 0 picks the hardware count,
-  /// 1 runs sequentially, and counts past the 12 cells are clamped to
-  /// one worker per cell. Results are identical for any thread count:
-  /// each cell derives its randomness solely from `protocol.seed`.
+  /// Worker threads for the grid's model fits (12 cells x (cv_folds + 1));
+  /// 0 picks the hardware count, 1 runs sequentially, and counts past the
+  /// number of fits are clamped to one worker per fit. Results are
+  /// identical for any thread count: each cell derives its randomness
+  /// solely from `protocol.seed`.
   int num_threads = 0;
   /// When non-empty, every finished cell persists its result into this
   /// directory (created if absent) as an atomically written, checksummed
@@ -72,9 +73,13 @@ std::string StudyCellName(const StudyCellKey& key);
 /// the run manifest only — ToMarkdown() never reads it, so a traced run's
 /// REPORT.md stays bit-identical to an untraced one.
 struct CellTiming {
+  /// Busy time: the sum of the wall times of the cell's fit tasks (its
+  /// finish step runs inside the last one), or the checkpoint load of a
+  /// resumed cell. The fits may overlap on several workers, so this is
+  /// not the interval from the cell's first start to its last end.
   double wall_ms = 0.0;
-  /// Thread CPU time of the cell body (CLOCK_THREAD_CPUTIME_ID); excludes
-  /// work the cell fanned out to other pool workers.
+  /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) summed over the same tasks;
+  /// excludes work a fit fanned out to other pools.
   double cpu_ms = 0.0;
   /// True when the cell was loaded from a checkpoint instead of computed.
   bool resumed = false;
@@ -113,9 +118,11 @@ struct StudyResult {
 
 /// Runs the full DD-vs-KD study: generates the cohort, builds the aligned
 /// sample sets for each outcome, and evaluates all twelve grid cells with
-/// the default per-cell hyperparameters. Cells run concurrently on a
-/// thread pool sized by `config.num_threads`; the result is deterministic
-/// regardless of parallelism.
+/// the default per-cell hyperparameters. Every cell is planned in grid
+/// order (see ExperimentPlan), then all cells' fits run as one task each,
+/// longest first, on a thread pool sized by `config.num_threads`; a cell
+/// finishes (and checkpoints) on the thread of its last fit. The result
+/// is deterministic regardless of parallelism.
 Result<StudyResult> RunFullStudy(const StudyConfig& config);
 
 }  // namespace mysawh::core

@@ -1,7 +1,9 @@
 #include "gbt/trainer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/json.h"
@@ -196,12 +198,16 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
   // missing-left wins the tie-break, so the second direction is skipped.
   const bool no_miss =
       miss.count == 0 && miss.sum_g == 0.0 && miss.sum_h == 0.0;
-  // Array form: prefix sums first, then a gain loop whose iterations are
-  // independent, so the divisions (the per-boundary cost) pipeline instead
-  // of serializing behind branches. Counts are carried as doubles (exact
-  // for any realistic row count) to keep the loop in one vectorizable
-  // domain. Only occupied boundaries are kept: an empty bin repeats its
-  // predecessor's prefix and the generic scan skips it ("no boundary
+  // Array form: prefix sums first, then two gain loops whose iterations
+  // are independent and whose compares end in selects, not branches. Both
+  // loops vectorize (two lanes with SSE2) because src/CMakeLists.txt
+  // compiles this file with -fno-trapping-math: under the default
+  // -ftrapping-math GCC will not if-convert the FP compares ("control flow
+  // in loop"). The flag permits neither reassociation nor contraction, so
+  // every lane computes the scalar IEEE result. Counts are carried as
+  // doubles (exact for any realistic row count) to keep the loops in one
+  // vector domain. Only occupied boundaries are kept: an empty bin repeats
+  // its predecessor's prefix and the generic scan skips it ("no boundary
   // change"), so the prefix pass compacts the occupied ones, with their
   // bin index, into the first `m` entries. Empty bins still feed the
   // running sums, since a subtracted histogram may leave a rounding
@@ -295,17 +301,12 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
 }
 
 void Trainer::BuildNode(RegressionTree* tree, int node_id, TreeState* state,
-                        int64_t begin, int64_t count, int depth,
+                        int64_t begin, const NodeStats& stats, int depth,
                         const NodeBounds& bounds, NodeHistogram hist) {
   const std::vector<GradientPair>& gpairs = *state->gpairs;
   const HistogramLayout& layout = *state->layout;
+  const int64_t count = stats.count;
   int64_t* rows = state->rows.data() + begin;
-  NodeStats stats;
-  for (int64_t i = 0; i < count; ++i) {
-    stats.sum_g += gpairs[static_cast<size_t>(rows[i])].grad;
-    stats.sum_h += gpairs[static_cast<size_t>(rows[i])].hess;
-  }
-  stats.count = count;
   tree->mutable_node(node_id)->cover = stats.sum_h;
 
   const bool can_split = depth < params_.max_depth &&
@@ -360,23 +361,39 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, TreeState* state,
       node_id, best.feature, best.threshold, best.default_left, best.gain);
   // Stable in-place partition: left rows are compacted to the front of the
   // span, right rows are staged in the scratch buffer and copied in behind
-  // them, so both children stay ascending.
+  // them, so both children stay ascending. The same pass sums each child's
+  // gradients in that ascending row order, so the children's NodeStats are
+  // what a separate pass over their rows would compute. A row adds +0.0 to
+  // the other side's sums, picked by a bit mask so the loop stays
+  // branch-free; that add is exact, as a sum that starts at +0.0 is never
+  // -0.0.
   const uint8_t* cells = binned_.data() + best.feature;
   const int64_t stride = binned_.num_features();
   int64_t* staged = state->scratch.data();
+  const auto masked = [](double v, uint64_t mask) {
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(v) & mask);
+  };
   int64_t num_left = 0;
-  int64_t num_right = 0;
+  double left_g = 0.0, left_h = 0.0, right_g = 0.0, right_h = 0.0;
   for (int64_t i = 0; i < count; ++i) {
     const int64_t r = rows[i];
     const uint8_t b = cells[r * stride];
     const bool go_left = (b == kMissingBin) ? best.default_left
                                             : static_cast<int>(b) <= best.bin;
+    const uint64_t left_mask = uint64_t{0} - static_cast<uint64_t>(go_left);
+    const GradientPair& gp = gpairs[static_cast<size_t>(r)];
+    left_g += masked(gp.grad, left_mask);
+    left_h += masked(gp.hess, left_mask);
+    right_g += masked(gp.grad, ~left_mask);
+    right_h += masked(gp.hess, ~left_mask);
     rows[num_left] = r;
-    staged[num_right] = r;
-    num_left += go_left ? 1 : 0;
-    num_right += go_left ? 0 : 1;
+    staged[i - num_left] = r;
+    num_left += static_cast<int64_t>(go_left);
   }
+  const int64_t num_right = count - num_left;
   std::copy(staged, staged + num_right, rows + num_left);
+  const NodeStats left_stats{left_g, left_h, num_left};
+  const NodeStats right_stats{right_g, right_h, num_right};
   // Sibling subtraction: build only the smaller child's histogram from its
   // rows and derive the larger one as parent − smaller. Skipped when the
   // children cannot split anyway (depth or min_samples_leaf), in which case
@@ -423,9 +440,9 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, TreeState* state,
       right_bounds.upper = std::min(right_bounds.upper, mid);
     }
   }
-  BuildNode(tree, left_id, state, begin, num_left, depth + 1, left_bounds,
+  BuildNode(tree, left_id, state, begin, left_stats, depth + 1, left_bounds,
             std::move(left_hist));
-  BuildNode(tree, right_id, state, begin + num_left, num_right, depth + 1,
+  BuildNode(tree, right_id, state, begin + num_left, right_stats, depth + 1,
             right_bounds, std::move(right_hist));
 }
 
@@ -438,10 +455,16 @@ RegressionTree Trainer::GrowTree(const std::vector<GradientPair>& gpairs,
                                std::numeric_limits<double>::infinity()};
   const HistogramLayout layout(bins_, features);
   const auto count = static_cast<int64_t>(rows.size());
+  NodeStats root;
+  for (const int64_t r : rows) {
+    root.sum_g += gpairs[static_cast<size_t>(r)].grad;
+    root.sum_h += gpairs[static_cast<size_t>(r)].hess;
+  }
+  root.count = count;
   TreeState state{&gpairs, &layout, std::move(rows),
                   std::vector<int64_t>(static_cast<size_t>(count)),
                   raw_train};
-  BuildNode(&tree, 0, &state, 0, count, 0, root_bounds, NodeHistogram());
+  BuildNode(&tree, 0, &state, 0, root, 0, root_bounds, NodeHistogram());
   return tree;
 }
 

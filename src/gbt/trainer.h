@@ -99,11 +99,12 @@ class Trainer {
   };
 
   /// Recursively grows the subtree rooted at `node_id` over the rows
-  /// `state->rows[begin, begin + count)`. `hist` is the node's histogram
-  /// (built lazily when empty); children inherit histograms via the
-  /// sibling-subtraction trick.
+  /// `state->rows[begin, begin + stats.count)`, whose gradient sums are
+  /// `stats` (the parent's partition pass computes them). `hist` is the
+  /// node's histogram (built lazily when empty); children inherit
+  /// histograms via the sibling-subtraction trick.
   void BuildNode(RegressionTree* tree, int node_id, TreeState* state,
-                 int64_t begin, int64_t count, int depth,
+                 int64_t begin, const NodeStats& stats, int depth,
                  const NodeBounds& bounds, NodeHistogram hist);
 
   /// The monotone constraint of a feature (0 when none configured).

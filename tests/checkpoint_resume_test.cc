@@ -21,15 +21,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The fast study configuration shared with study_test.cc.
+/// The fast study configuration shared with study_test.cc, on four
+/// workers. The reference report is computed sequentially, so every test
+/// that compares against it also checks that results do not depend on the
+/// thread count.
 StudyConfig FastConfig() {
   StudyConfig config;
   config.cohort.seed = 31;
   config.cohort.clinics = {{"A", 30, 0.0, 1.0}, {"B", 15, 0.0, 1.4}};
   config.protocol.cv_folds = 3;
-  // Sequential, so "killed after K cells" is a well-defined prefix of the
-  // fixed grid order.
-  config.num_threads = 1;
+  config.num_threads = 4;
   return config;
 }
 
@@ -49,10 +50,13 @@ class CheckpointResumeTest : public ::testing::Test {
   fs::path dir_;
 };
 
-/// The uninterrupted reference run (no checkpointing), computed once.
+/// The uninterrupted, sequential reference run (no checkpointing),
+/// computed once.
 const std::string& ReferenceReport() {
   static const std::string* report = [] {
-    auto study = RunFullStudy(FastConfig());
+    StudyConfig config = FastConfig();
+    config.num_threads = 1;
+    auto study = RunFullStudy(config);
     return new std::string(study.value().ToMarkdown());
   }();
   return *report;
@@ -82,6 +86,9 @@ TEST_F(CheckpointResumeTest, KilledStudiesResumeToIdenticalReport) {
         (dir_ / ("kill_after_" + std::to_string(completed_cells))).string();
     StudyConfig config = FastConfig();
     config.checkpoint_dir = ckpt_dir;
+    // Sequential, so "killed after K cells" is a well-defined prefix of the
+    // fixed cell completion order.
+    config.num_threads = 1;
 
     FailpointRegistry::Global().Enable(
         "study/cell_save", FailpointSpec::FromNth(completed_cells + 1));
