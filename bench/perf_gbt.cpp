@@ -4,8 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bitset>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
 
 #include "bench/perf_json_main.h"
 #include "core/audit_log.h"
@@ -41,6 +45,8 @@ using mysawh::gbt::GradientPair;
 using mysawh::gbt::HistogramBuilder;
 using mysawh::gbt::HistogramLayout;
 using mysawh::gbt::NodeHistogram;
+using mysawh::gbt::RegressionTree;
+using mysawh::gbt::TreeNode;
 
 Dataset MakeData(int64_t rows, int64_t features, uint64_t seed) {
   Rng rng(seed);
@@ -101,23 +107,119 @@ BENCHMARK(BM_TrainHist)
     ->Args({8000, 64})
     ->Unit(benchmark::kMillisecond);
 
-/// One data-driven study fit: 1,800 rows x 60 features, the shape of a
-/// study cell's training partition, at 64 bins with ~25% missing cells and
-/// the study's DD settings (300 trees, subsample 0.9, colsample 0.8). Unlike
-/// BM_TrainHist it pays for the row subsample, the missing-value direction
-/// scan and the score update of out-of-sample rows.
-void BM_TrainStudyShape(benchmark::State& state) {
+/// A study-shaped training partition, 1,800 rows x 60 features. As in the
+/// study's DD samples, 56 features are questionnaire scores: each is the
+/// mean of a few Likert answers (4 to 11 levels), so most rows sit on
+/// quarter steps and a tail of rare fractional levels fills out the bins,
+/// and 2% of these cells are missing. Three features are continuous
+/// wearable aggregates and one is a frailty index with 33 levels.
+Dataset MakeStudyShapedData(uint64_t seed) {
   constexpr int64_t kRows = 1800;
   constexpr int64_t kFeatures = 60;
-  Dataset data = MakeData(kRows, kFeatures, 3);
-  Rng rng(5);
-  for (int64_t r = 0; r < kRows; ++r) {
-    for (int64_t f = 0; f < kFeatures; ++f) {
-      if (rng.Uniform(0, 1) < 0.25) {
-        data.Set(r, f, std::numeric_limits<double>::quiet_NaN());
+  constexpr int64_t kScores = 56;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int64_t f = 0; f < kFeatures; ++f) {
+    names.push_back(std::string("f").append(std::to_string(f)));
+  }
+  Dataset ds = Dataset::Create(names);
+  std::vector<double> row(static_cast<size_t>(kFeatures));
+  for (int64_t i = 0; i < kRows; ++i) {
+    const double health = rng.Normal();  // the patient's latent state
+    for (int64_t f = 0; f < kScores; ++f) {
+      double& score = row[static_cast<size_t>(f)];
+      if (rng.Uniform() < 0.02) {
+        score = kNaN;
+        continue;
+      }
+      const double levels = 4.0 + static_cast<double>(f % 8);
+      const int64_t answers = rng.Uniform() < 0.8 ? 4 : rng.UniformInt(2, 6);
+      const double center = 0.5 * (levels + 1.0) + 0.15 * levels * health;
+      double sum = 0.0;
+      for (int64_t a = 0; a < answers; ++a) {
+        const double answer =
+            std::round(center + rng.Normal(0.0, 0.15 * levels));
+        sum += std::clamp(answer, 1.0, levels);
+      }
+      score = sum / static_cast<double>(answers);
+    }
+    for (int64_t f = kScores; f + 1 < kFeatures; ++f) {
+      row[static_cast<size_t>(f)] =
+          6000.0 + 2000.0 * health + rng.Normal(0.0, 1500.0);
+    }
+    const double frailty = std::round(16.0 - 6.0 * health + rng.Normal(0, 3));
+    row[kFeatures - 1] = std::clamp(frailty, 0.0, 32.0) / 32.0;
+    double y = 50.0 + 10.0 * health + rng.Normal(0.0, 5.0);
+    for (int64_t f = 0; f < 6; ++f) {
+      const double v = row[static_cast<size_t>(f)];
+      if (!std::isnan(v)) y += (f % 2 == 0 ? 1.5 : -1.0) * v;
+    }
+    (void)ds.AddRow(row, y);
+  }
+  return ds;
+}
+
+/// Mean bins and occupied bins per feature scan that a trained model
+/// implies. Every node the trainer scanned (depth < max_depth and at least
+/// 2 * min_samples_leaf rows) is revisited with all rows routed by the
+/// model's thresholds, and each feature's bins holding a present row are
+/// counted there. The full row set stands in for each tree's row
+/// subsample, and all features for its column sample.
+struct ScanShape {
+  double bins = 0.0;
+  double occupied = 0.0;
+};
+
+ScanShape MeasureScanShape(const Dataset& data, const GbtModel& model,
+                           const GbtParams& params) {
+  const BinnedData binned =
+      BuildBinned(data, params.max_bins, nullptr).value();
+  double bins = 0.0, occupied = 0.0, scans = 0.0;
+  for (const RegressionTree& tree : model.trees()) {
+    const auto nodes = static_cast<size_t>(tree.num_nodes());
+    std::vector<std::vector<int64_t>> rows(nodes);
+    std::vector<int> depth(nodes, 0);
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
+      for (int id = 0;;) {
+        rows[static_cast<size_t>(id)].push_back(r);
+        const TreeNode& node = tree.node(id);
+        if (node.IsLeaf()) break;
+        const double v = data.At(r, node.feature);
+        const bool left = std::isnan(v) ? node.default_left
+                                        : v < node.threshold;
+        const int child = left ? node.left : node.right;
+        depth[static_cast<size_t>(child)] = depth[static_cast<size_t>(id)] + 1;
+        id = child;
+      }
+    }
+    for (size_t id = 0; id < nodes; ++id) {
+      if (depth[id] >= params.max_depth ||
+          static_cast<int64_t>(rows[id].size()) <
+              2 * params.min_samples_leaf) {
+        continue;
+      }
+      for (int64_t f = 0; f < data.num_features(); ++f) {
+        std::bitset<256> seen;
+        for (const int64_t r : rows[id]) seen.set(binned.matrix.At(r, f));
+        seen.reset(mysawh::gbt::kMissingBin);
+        bins += binned.bins.num_bins(f);
+        occupied += static_cast<double>(seen.count());
+        scans += 1.0;
       }
     }
   }
+  return {bins / scans, occupied / scans};
+}
+
+/// One data-driven study fit on the study-shaped partition with the
+/// study's DD settings (300 trees, subsample 0.9, colsample 0.8). Unlike
+/// BM_TrainHist it pays for the row subsample, the missing-value direction
+/// scan and the score update of out-of-sample rows. The counters report
+/// the split-find shape (MeasureScanShape); the study's own scans average
+/// 57.7 bins, 29.6 of them occupied.
+void BM_TrainStudyShape(benchmark::State& state) {
+  const Dataset data = MakeStudyShapedData(3);
   const GbtParams params = mysawh::core::DefaultGbtParams(
       mysawh::core::Outcome::kQol, mysawh::core::Approach::kDataDriven);
   for (auto _ : state) {
@@ -125,6 +227,11 @@ void BM_TrainStudyShape(benchmark::State& state) {
     benchmark::DoNotOptimize(model);
   }
   state.SetItemsProcessed(state.iterations() * params.num_trees);
+  const ScanShape shape =
+      MeasureScanShape(data, GbtModel::Train(data, params).value(), params);
+  state.counters["bins_per_scan"] = shape.bins;
+  state.counters["occupied_bins_per_scan"] = shape.occupied;
+  state.counters["occupied_share"] = shape.occupied / shape.bins;
 }
 BENCHMARK(BM_TrainStudyShape)->Unit(benchmark::kMillisecond);
 

@@ -218,10 +218,8 @@ Result<GamModel> GamModel::Train(const Dataset& train,
   std::vector<GradientPair> gpairs(static_cast<size_t>(n));
   for (int cycle = 0; cycle < params.num_cycles; ++cycle) {
     for (int64_t f = 0; f < nf; ++f) {
-      for (int64_t i = 0; i < n; ++i) {
-        gpairs[static_cast<size_t>(i)] = objective->ComputeGradient(
-            train.label(i), raw[static_cast<size_t>(i)]);
-      }
+      objective->ComputeGradients(train.labels().data(), raw.data(), n,
+                                  gpairs.data());
       SingleFeatureTreeBuilder builder(train, orders[static_cast<size_t>(f)],
                                        gpairs, params, static_cast<int>(f));
       RegressionTree tree = builder.Build();

@@ -24,11 +24,9 @@ Result<GbtModel> GbtModel::Train(const Dataset& train, const GbtParams& params,
 }
 
 void GbtModel::CompileFlat() {
-  // Fingerprint the canonical serialized form once per (re)compile — the
-  // only times the forest can change — so the audit hooks below never
-  // hash on the prediction path.
-  const std::string serialized = Serialize();
-  fingerprint_ = core::HashBytes(serialized.data(), serialized.size());
+  // A (re)compile is the only time the forest can change, so it starts a
+  // new fingerprint cache; copies made before keep the old forest's one.
+  fingerprint_ = std::make_shared<FingerprintCache>();
   flat_.reset();
   Result<FlatForest> compiled = FlatForest::Compile(trees_, num_features());
   if (compiled.ok()) {
@@ -41,6 +39,16 @@ void GbtModel::CompileFlat() {
   static Counter* const fallback_counter = MetricsRegistry::Global().GetCounter(
       "gbt.predict.flat_compile_fallbacks");
   fallback_counter->Increment();
+}
+
+uint64_t GbtModel::fingerprint() const {
+  if (fingerprint_ == nullptr) return 0;
+  std::call_once(fingerprint_->once, [this] {
+    const std::string serialized = Serialize();
+    fingerprint_->value =
+        core::HashBytes(serialized.data(), serialized.size());
+  });
+  return fingerprint_->value;
 }
 
 double GbtModel::PredictRowRaw(const double* row) const {
@@ -114,7 +122,7 @@ Result<std::vector<double>> GbtModel::Predict(const Dataset& data) const {
   // disarmed, and always on the calling thread after the parallel loops,
   // so observation can never change what was computed.
   if (core::AuditEnabled()) {
-    core::AuditLog::Global().RecordPredictBatch(fingerprint_, data, raw);
+    core::AuditLog::Global().RecordPredictBatch(fingerprint(), data, raw);
   }
   if (core::DriftMonitoringEnabled()) {
     core::DriftMonitorRuntime::Global().ObserveBatch(data, raw);

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -99,10 +100,11 @@ class GbtModel : public model::Model {
   /// counts `gbt.predict.flat_compile_fallbacks`.
   void CompileFlat();
 
-  /// FNV-1a fingerprint of Serialize(), computed by CompileFlat (i.e. by
-  /// Train and Deserialize). Names the exact model in every audit-log
-  /// record (core/audit_log.h); 0 only for a default-constructed model.
-  uint64_t fingerprint() const { return fingerprint_; }
+  /// FNV-1a fingerprint of Serialize(). Names the exact model in every
+  /// audit-log record (core/audit_log.h). Computed on the first read after
+  /// a (re)compile and cached, shared by the model's copies; safe to call
+  /// from several threads at once. 0 for a default-constructed model.
+  uint64_t fingerprint() const;
 
   const std::vector<RegressionTree>& trees() const { return trees_; }
   const std::vector<std::string>& feature_names() const {
@@ -141,7 +143,14 @@ class GbtModel : public model::Model {
   ObjectiveType objective_type_ = ObjectiveType::kSquaredError;
   double base_score_ = 0.0;
   int best_iteration_ = -1;
-  uint64_t fingerprint_ = 0;
+  // The audit fingerprint of the forest CompileFlat last compiled. Hashing
+  // needs a full text Serialize(), and only audit-logged predictions read
+  // it, so it is computed once on first read rather than after every fit.
+  struct FingerprintCache {
+    std::once_flag once;
+    uint64_t value = 0;
+  };
+  std::shared_ptr<FingerprintCache> fingerprint_;
   // Compiled inference form; shared so copies of a model reuse one block.
   // Not serialized: Serialize() stays byte-stable across this optimization
   // and Deserialize recompiles.

@@ -15,10 +15,24 @@ double ClampProbability(double p) {
   return std::min(1.0 - 1e-15, std::max(1e-15, p));
 }
 
-/// Mean squared error objective: L = 0.5 (y - f)^2.
-class SquaredErrorObjective final : public Objective {
+/// Implements the batch gradient call over the derived objective's
+/// per-sample `Gradient`, which the loop inlines.
+template <typename Derived>
+class RowwiseObjective : public Objective {
  public:
-  GradientPair ComputeGradient(double label, double raw) const override {
+  void ComputeGradients(const double* labels, const double* raw, int64_t n,
+                        GradientPair* out) const final {
+    for (int64_t i = 0; i < n; ++i) {
+      out[i] = Derived::Gradient(labels[i], raw[i]);
+    }
+  }
+};
+
+/// Mean squared error objective: L = 0.5 (y - f)^2.
+class SquaredErrorObjective final
+    : public RowwiseObjective<SquaredErrorObjective> {
+ public:
+  static GradientPair Gradient(double label, double raw) {
     return {raw - label, 1.0};
   }
   Status ValidateLabels(const std::vector<double>& labels) const override {
@@ -44,9 +58,9 @@ class SquaredErrorObjective final : public Objective {
 };
 
 /// Binary logistic loss on raw margins; outputs probabilities.
-class LogisticObjective final : public Objective {
+class LogisticObjective final : public RowwiseObjective<LogisticObjective> {
  public:
-  GradientPair ComputeGradient(double label, double raw) const override {
+  static GradientPair Gradient(double label, double raw) {
     const double p = Sigmoid(raw);
     return {p - label, std::max(p * (1.0 - p), 1e-16)};
   }
@@ -79,9 +93,10 @@ class LogisticObjective final : public Objective {
 };
 
 /// Pseudo-Huber loss with delta = 1: smooth near 0, linear in the tails.
-class PseudoHuberObjective final : public Objective {
+class PseudoHuberObjective final
+    : public RowwiseObjective<PseudoHuberObjective> {
  public:
-  GradientPair ComputeGradient(double label, double raw) const override {
+  static GradientPair Gradient(double label, double raw) {
     const double r = raw - label;
     const double scale = std::sqrt(1.0 + r * r);
     const double grad = r / scale;
@@ -110,9 +125,9 @@ class PseudoHuberObjective final : public Objective {
 };
 
 /// Poisson deviance with log link: raw score is log-mean.
-class PoissonObjective final : public Objective {
+class PoissonObjective final : public RowwiseObjective<PoissonObjective> {
  public:
-  GradientPair ComputeGradient(double label, double raw) const override {
+  static GradientPair Gradient(double label, double raw) {
     const double mu = std::exp(std::min(raw, 30.0));  // overflow guard
     return {mu - label, std::max(mu, 1e-10)};
   }

@@ -1,6 +1,7 @@
 #ifndef MYSAWH_GBT_OBJECTIVE_H_
 #define MYSAWH_GBT_OBJECTIVE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,8 +38,10 @@ class Objective {
  public:
   virtual ~Objective() = default;
 
-  /// Loss derivatives at one sample.
-  virtual GradientPair ComputeGradient(double label, double raw) const = 0;
+  /// Loss derivatives at `n` samples: out[i] at (labels[i], raw[i]). One
+  /// call per row chunk keeps the training loop free of per-row dispatch.
+  virtual void ComputeGradients(const double* labels, const double* raw,
+                                int64_t n, GradientPair* out) const = 0;
 
   /// Maps a raw margin score to the prediction scale.
   virtual double Transform(double raw) const { return raw; }

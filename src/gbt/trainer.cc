@@ -530,6 +530,9 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
                               static_cast<double>(n) * params_.subsample)))
                  : n;
   std::vector<uint8_t> in_sample(subsampled ? static_cast<size_t>(n) : 0);
+  // The row and column draws reuse one index buffer across rounds.
+  std::vector<int64_t> drawn;
+  const double pos_weight = params_.scale_pos_weight;
   double best_metric = std::numeric_limits<double>::infinity();
   int best_round = -1;
 
@@ -560,28 +563,30 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
     TraceSpan tree_span("gbt.tree", "train");
     tree_span.Arg("round", round);
     ScopedLatencyTimer tree_timer(Metrics().tree_us);
-    // Per-row gradients are independent writes to disjoint slots, so the
-    // parallel loop is deterministic for any thread count.
-    pool_.ParallelForChunks(
-        n, kRowChunk, [&](int64_t, int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            GradientPair gp = objective_->ComputeGradient(
-                train_.label(i), raw_train[static_cast<size_t>(i)]);
-            if (params_.scale_pos_weight != 1.0 && train_.label(i) == 1.0) {
-              gp.grad *= params_.scale_pos_weight;
-              gp.hess *= params_.scale_pos_weight;
+    {
+      // Per-row gradients are independent writes to disjoint slots, so the
+      // parallel loop is deterministic for any thread count.
+      TraceSpan span("gbt.gradients", "train");
+      pool_.ParallelForChunks(
+          n, kRowChunk, [&](int64_t, int64_t begin, int64_t end) {
+            objective_->ComputeGradients(train_.labels().data() + begin,
+                                         raw_train.data() + begin,
+                                         end - begin, gpairs.data() + begin);
+            if (pos_weight == 1.0) return;
+            for (int64_t i = begin; i < end; ++i) {
+              if (train_.label(i) != 1.0) continue;
+              gpairs[static_cast<size_t>(i)].grad *= pos_weight;
+              gpairs[static_cast<size_t>(i)].hess *= pos_weight;
             }
-            gpairs[static_cast<size_t>(i)] = gp;
-          }
-        });
+          });
+    }
     // Row subsample, emitted ascending by one pass over a membership mask
     // (the draw itself is unordered).
     std::vector<int64_t> rows;
     if (subsampled) {
       std::fill(in_sample.begin(), in_sample.end(), 0);
-      for (int64_t r : rng_.SampleWithoutReplacement(n, sample_size)) {
-        in_sample[static_cast<size_t>(r)] = 1;
-      }
+      rng_.SampleWithoutReplacement(n, sample_size, &drawn);
+      for (const int64_t r : drawn) in_sample[static_cast<size_t>(r)] = 1;
       rows.reserve(static_cast<size_t>(sample_size));
       for (int64_t i = 0; i < n; ++i) {
         if (in_sample[static_cast<size_t>(i)] != 0) rows.push_back(i);
@@ -596,9 +601,8 @@ Result<GbtModel> Trainer::Run(const Dataset* validation, TrainingLog* log) {
       const auto k = std::max<int64_t>(
           1, static_cast<int64_t>(std::llround(
                  static_cast<double>(nf) * params_.colsample_bytree)));
-      for (int64_t f : rng_.SampleWithoutReplacement(nf, k)) {
-        features.push_back(static_cast<int>(f));
-      }
+      rng_.SampleWithoutReplacement(nf, k, &drawn);
+      for (const int64_t f : drawn) features.push_back(static_cast<int>(f));
       std::sort(features.begin(), features.end());
     } else {
       features.resize(static_cast<size_t>(nf));

@@ -53,13 +53,20 @@ double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   MYSAWH_CHECK_LE(lo, hi);
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo overflows int64 for ranges above 2^63.
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (range == 0) return static_cast<int64_t>(NextUint64());  // full range
-  // Rejection sampling to remove modulo bias.
-  const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+  // Rejection sampling to remove modulo bias: keep x when its whole block
+  // [x - x % range, x - x % range + range) lies below UINT64_MAX. That is
+  // exactly x < UINT64_MAX - UINT64_MAX % range, with one division per draw.
   uint64_t x = NextUint64();
-  while (x >= limit) x = NextUint64();
-  return lo + static_cast<int64_t>(x % range);
+  uint64_t offset = x % range;
+  while (x - offset > UINT64_MAX - range) {
+    x = NextUint64();
+    offset = x % range;
+  }
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
 }
 
 bool Rng::Bernoulli(double p) {
@@ -154,18 +161,19 @@ int64_t Rng::Binomial(int64_t n, double p) {
   return count;
 }
 
-std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
+void Rng::SampleWithoutReplacement(int64_t n, int64_t k,
+                                   std::vector<int64_t>* out) {
   MYSAWH_CHECK_GE(k, 0);
   MYSAWH_CHECK_LE(k, n);
   // Partial Fisher–Yates over an index vector.
-  std::vector<int64_t> indices(static_cast<size_t>(n));
+  std::vector<int64_t>& indices = *out;
+  indices.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) indices[static_cast<size_t>(i)] = i;
   for (int64_t i = 0; i < k; ++i) {
     int64_t j = UniformInt(i, n - 1);
     std::swap(indices[static_cast<size_t>(i)], indices[static_cast<size_t>(j)]);
   }
   indices.resize(static_cast<size_t>(k));
-  return indices;
 }
 
 }  // namespace mysawh

@@ -60,9 +60,11 @@ class Rng {
     }
   }
 
-  /// Returns `k` distinct indices drawn uniformly from [0, n), in random
-  /// order. Requires 0 <= k <= n.
-  std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
+  /// Sets `*out` to `k` distinct indices drawn uniformly from [0, n), in
+  /// random order. Requires 0 <= k <= n. The buffer's capacity is reused,
+  /// so repeated draws into one vector do not allocate.
+  void SampleWithoutReplacement(int64_t n, int64_t k,
+                                std::vector<int64_t>* out);
 
  private:
   uint64_t state_[4];

@@ -6,7 +6,10 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <thread>
+#include <vector>
 
+#include "core/audit_log.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -146,6 +149,67 @@ TEST(GbtModelTest, SerializationRoundTripsPredictions) {
     EXPECT_DOUBLE_EQ(loaded.PredictRow(test.row(r)),
                      model.PredictRow(test.row(r)));
   }
+}
+
+/// The audit fingerprint names the exact model text, whichever way the
+/// model was obtained.
+uint64_t TextFingerprint(const GbtModel& model) {
+  const std::string text = model.Serialize();
+  return core::HashBytes(text.data(), text.size());
+}
+
+TEST(GbtModelTest, FingerprintHashesSerializedText) {
+  const Dataset train = MakeRegressionData(300, 15);
+  GbtParams params;
+  params.num_trees = 12;
+  params.subsample = 0.8;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  EXPECT_EQ(model.fingerprint(), TextFingerprint(model));
+  EXPECT_NE(model.fingerprint(), 0u);
+
+  const GbtModel loaded = GbtModel::Deserialize(model.Serialize()).value();
+  EXPECT_EQ(loaded.fingerprint(), TextFingerprint(loaded));
+  EXPECT_EQ(loaded.fingerprint(), model.fingerprint());
+
+  // A copy taken before the first read shares the cache, and a copy taken
+  // after it keeps the cached value.
+  const GbtModel fresh = GbtModel::Train(train, params).value();
+  const GbtModel early_copy = fresh;
+  EXPECT_EQ(fresh.fingerprint(), TextFingerprint(fresh));
+  EXPECT_EQ(early_copy.fingerprint(), fresh.fingerprint());
+  GbtModel late_copy;
+  late_copy = fresh;
+  EXPECT_EQ(late_copy.fingerprint(), TextFingerprint(fresh));
+
+  // A different forest gets its own value.
+  params.num_trees = 13;
+  const GbtModel other = GbtModel::Train(train, params).value();
+  EXPECT_EQ(other.fingerprint(), TextFingerprint(other));
+  EXPECT_NE(other.fingerprint(), model.fingerprint());
+}
+
+TEST(GbtModelTest, FingerprintFirstReadIsThreadSafe) {
+  const Dataset train = MakeRegressionData(300, 16);
+  GbtParams params;
+  params.num_trees = 30;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  const GbtModel copy = model;
+  constexpr int kThreads = 4;
+  std::vector<uint64_t> seen(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    // Half the threads read through a copy, which shares the cache.
+    const GbtModel& reader = t % 2 == 0 ? model : copy;
+    threads.emplace_back([&reader, &seen, t] {
+      seen[static_cast<size_t>(t)] = reader.fingerprint();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const uint64_t fp : seen) EXPECT_EQ(fp, TextFingerprint(model));
+}
+
+TEST(GbtModelTest, DefaultConstructedFingerprintIsZero) {
+  EXPECT_EQ(GbtModel().fingerprint(), 0u);
 }
 
 TEST(GbtModelTest, SaveLoadFile) {

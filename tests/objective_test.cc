@@ -26,13 +26,21 @@ double PseudoHuberLoss(double y, double f) {
   return std::sqrt(1.0 + r * r) - 1.0;
 }
 
+/// The objective's derivatives at one sample.
+GradientPair GradientAt(const Objective& objective, double label,
+                        double raw) {
+  GradientPair gp;
+  objective.ComputeGradients(&label, &raw, 1, &gp);
+  return gp;
+}
+
 class GradientCheckTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(GradientCheckTest, SquaredErrorMatchesNumeric) {
   const auto objective = MakeObjective(ObjectiveType::kSquaredError);
   const double raw = GetParam();
   for (double label : {-2.0, 0.0, 0.7, 3.0}) {
-    const GradientPair gp = objective->ComputeGradient(label, raw);
+    const GradientPair gp = GradientAt(*objective, label, raw);
     EXPECT_NEAR(gp.grad, NumericGrad(label, raw, SquaredLoss),
                 1e-4);
     EXPECT_DOUBLE_EQ(gp.hess, 1.0);
@@ -43,7 +51,7 @@ TEST_P(GradientCheckTest, LogisticMatchesNumeric) {
   const auto objective = MakeObjective(ObjectiveType::kLogistic);
   const double raw = GetParam();
   for (double label : {0.0, 1.0}) {
-    const GradientPair gp = objective->ComputeGradient(label, raw);
+    const GradientPair gp = GradientAt(*objective, label, raw);
     EXPECT_NEAR(gp.grad, NumericGrad(label, raw, LogisticLoss),
                 1e-4);
     EXPECT_GT(gp.hess, 0.0);
@@ -54,7 +62,7 @@ TEST_P(GradientCheckTest, PseudoHuberMatchesNumeric) {
   const auto objective = MakeObjective(ObjectiveType::kPseudoHuber);
   const double raw = GetParam();
   for (double label : {-1.0, 0.0, 2.5}) {
-    const GradientPair gp = objective->ComputeGradient(label, raw);
+    const GradientPair gp = GradientAt(*objective, label, raw);
     EXPECT_NEAR(gp.grad, NumericGrad(label, raw, PseudoHuberLoss),
                 1e-4);
     EXPECT_GT(gp.hess, 0.0);
@@ -112,9 +120,28 @@ TEST(ObjectiveTest, PoissonGradientsMatchNumeric) {
   const auto objective = MakeObjective(ObjectiveType::kPoisson);
   for (double raw : {-1.0, 0.0, 1.5}) {
     for (double label : {0.0, 1.0, 7.0}) {
-      const GradientPair gp = objective->ComputeGradient(label, raw);
+      const GradientPair gp = GradientAt(*objective, label, raw);
       EXPECT_NEAR(gp.grad, NumericGrad(label, raw, PoissonLoss), 1e-4);
       EXPECT_GT(gp.hess, 0.0);
+    }
+  }
+}
+
+TEST(ObjectiveTest, BatchGradientsMatchPerSample) {
+  const double labels[] = {0.0, 1.0, 1.0, 0.0, 3.0, 0.0, 1.0};
+  const double raw[] = {-40.0, -1.5, 0.0, 0.25, 2.0, 35.0, 800.0};
+  constexpr int64_t kRows = 7;
+  for (const ObjectiveType type :
+       {ObjectiveType::kSquaredError, ObjectiveType::kLogistic,
+        ObjectiveType::kPseudoHuber, ObjectiveType::kPoisson}) {
+    SCOPED_TRACE(ObjectiveTypeName(type));
+    const auto objective = MakeObjective(type);
+    GradientPair batch[kRows];
+    objective->ComputeGradients(labels, raw, kRows, batch);
+    for (int64_t i = 0; i < kRows; ++i) {
+      const GradientPair one = GradientAt(*objective, labels[i], raw[i]);
+      EXPECT_EQ(batch[i].grad, one.grad) << "row " << i;
+      EXPECT_EQ(batch[i].hess, one.hess) << "row " << i;
     }
   }
 }
