@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "bench/perf_json_main.h"
 #include "core/audit_log.h"
@@ -306,7 +307,9 @@ BENCHMARK(BM_MonitorDisabled)
 
 /// The histogram accumulation pass in isolation: one root-node histogram
 /// over all rows and features (the single-pass row-major kernel plus the
-/// deterministic chunked reduction, without split finding on top).
+/// deterministic chunked reduction, without split finding on top). Each
+/// iteration hands its histogram back, so the next one builds in reused
+/// storage, as training does.
 void BM_HistogramBuild(benchmark::State& state) {
   const Dataset data = MakeData(state.range(0), state.range(1), 1);
   const BinnedData binned = BuildBinned(data, 64, nullptr).value();
@@ -315,7 +318,7 @@ void BM_HistogramBuild(benchmark::State& state) {
     features.push_back(static_cast<int>(f));
   }
   const HistogramLayout layout(binned.bins, features);
-  const HistogramBuilder builder(binned.bins, binned.matrix, nullptr);
+  HistogramBuilder builder(binned.bins, binned.matrix, nullptr);
   std::vector<int64_t> rows;
   std::vector<GradientPair> gpairs;
   for (int64_t r = 0; r < data.num_rows(); ++r) {
@@ -325,6 +328,7 @@ void BM_HistogramBuild(benchmark::State& state) {
   for (auto _ : state) {
     NodeHistogram hist = builder.Build(layout, rows, gpairs);
     benchmark::DoNotOptimize(hist);
+    builder.Recycle(std::move(hist));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "gbt/trainer.h"
 #include "util/file_io.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -30,7 +31,8 @@ std::string BuildRunManifestJson(const StudyConfig& config,
       .Key("fingerprint").String(StudyFingerprint(config))
       .Key("seed").Int(config.cohort.seed)
       .Key("eval_seed").Int(config.protocol.seed)
-      .Key("model_family").String(ModelFamilyName(config.model_family));
+      .Key("model_family").String(ModelFamilyName(config.model_family))
+      .Key("split_kernel").String(gbt::SplitKernelName());
   w.Key("cells").BeginObject();
   for (const auto& [key, timing] : result.timings) {
     w.Key(StudyCellName(key)).BeginObject()

@@ -1,5 +1,8 @@
 #include "gbt/histogram.h"
 
+#include <algorithm>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 namespace mysawh::gbt {
@@ -12,37 +15,60 @@ namespace {
 /// across workers.
 constexpr int64_t kHistChunkRows = 2048;
 
+/// Features per pass of AccumulateCells: their slot base pointers fit a
+/// fixed array. The study's nodes have at most 60 features, one pass.
+constexpr int kFeatureBlock = 64;
+
 /// Accumulates rows [begin, end) of `rows` into `out` — the single
 /// cache-friendly pass: each row's cells are read contiguously and feed
 /// all selected features. Per-feature slot base pointers are hoisted so
-/// the inner loop is load/add/store per feature.
+/// the inner loop is load/add/store per feature. Rows go in pairs: the two
+/// rows' updates of one feature are independent unless they hit the same
+/// slot, and then the earlier row's add lands first, so every slot still
+/// sums its rows in ascending order. A slot belongs to one feature, so the
+/// feature blocks do not reorder any slot's adds either.
 void AccumulateCells(const HistogramLayout& layout, const BinnedMatrix& binned,
                      std::span<const int64_t> rows,
                      const std::vector<GradientPair>& gpairs, int64_t begin,
                      int64_t end, NodeHistogram* out) {
-  const int* feats = layout.features().data();
-  const int nf = layout.num_features();
-  HistEntry* slots = out->mutable_slots();
-  HistEntry* miss = out->mutable_miss();
-  std::vector<HistEntry*> bases(static_cast<size_t>(nf));
-  for (int fi = 0; fi < nf; ++fi) {
-    bases[static_cast<size_t>(fi)] = slots + layout.offset(fi);
-  }
-  HistEntry** base = bases.data();
   const uint8_t* cells = binned.data();
   const int64_t stride = binned.num_features();
-  for (int64_t i = begin; i < end; ++i) {
-    const int64_t r = rows[static_cast<size_t>(i)];
-    const uint8_t* row_bins = cells + r * stride;
-    const double g = gpairs[static_cast<size_t>(r)].grad;
-    const double h = gpairs[static_cast<size_t>(r)].hess;
+  const GradientPair* gp = gpairs.data();
+  // One cell: into its bin, or into the feature's missing bucket.
+  const auto add = [](HistEntry* bins, HistEntry& missing, uint8_t b,
+                      const GradientPair& p) {
+    HistEntry& e = b == kMissingBin ? missing : bins[b];
+    e.sum_g += p.grad;
+    e.sum_h += p.hess;
+    ++e.count;
+  };
+  for (int f0 = 0; f0 < layout.num_features(); f0 += kFeatureBlock) {
+    const int nf = std::min(kFeatureBlock, layout.num_features() - f0);
+    const int* feats = layout.features().data() + f0;
+    HistEntry* miss = out->mutable_miss() + f0;
+    HistEntry* base[kFeatureBlock];
     for (int fi = 0; fi < nf; ++fi) {
-      const uint8_t b = row_bins[feats[fi]];
-      HistEntry& e =
-          b == kMissingBin ? miss[fi] : base[fi][static_cast<int64_t>(b)];
-      e.sum_g += g;
-      e.sum_h += h;
-      ++e.count;
+      base[fi] = out->mutable_slots() + layout.offset(f0 + fi);
+    }
+    int64_t i = begin;
+    for (; i + 1 < end; i += 2) {
+      const int64_t r0 = rows[static_cast<size_t>(i)];
+      const int64_t r1 = rows[static_cast<size_t>(i) + 1];
+      const uint8_t* row0 = cells + r0 * stride;
+      const uint8_t* row1 = cells + r1 * stride;
+      const GradientPair p0 = gp[r0];
+      const GradientPair p1 = gp[r1];
+      for (int fi = 0; fi < nf; ++fi) {
+        add(base[fi], miss[fi], row0[feats[fi]], p0);
+        add(base[fi], miss[fi], row1[feats[fi]], p1);
+      }
+    }
+    if (i < end) {
+      const int64_t r = rows[static_cast<size_t>(i)];
+      const uint8_t* row = cells + r * stride;
+      for (int fi = 0; fi < nf; ++fi) {
+        add(base[fi], miss[fi], row[feats[fi]], gp[r]);
+      }
     }
   }
 }
@@ -57,6 +83,17 @@ HistogramLayout::HistogramLayout(const FeatureBins& bins,
   for (int f : features_) {
     offsets_.push_back(offsets_.back() + bins.num_bins(f));
   }
+}
+
+void NodeHistogram::Reset(const HistogramLayout& layout) {
+  slots_.resize(static_cast<size_t>(layout.num_slots()));
+  miss_.resize(static_cast<size_t>(layout.num_features()));
+  // All-zero bytes are HistEntry{}: 0.0, 0.0, 0.
+  static_assert(std::is_trivially_copyable_v<HistEntry>);
+  std::memset(static_cast<void*>(slots_.data()), 0,
+              slots_.size() * sizeof(HistEntry));
+  std::memset(static_cast<void*>(miss_.data()), 0,
+              miss_.size() * sizeof(HistEntry));
 }
 
 NodeHistogram NodeHistogram::Subtract(NodeHistogram parent,
@@ -78,10 +115,24 @@ NodeHistogram NodeHistogram::Subtract(NodeHistogram parent,
   return parent;
 }
 
+NodeHistogram HistogramBuilder::Take(const HistogramLayout& layout) {
+  NodeHistogram hist;
+  if (!free_.empty()) {
+    hist = std::move(free_.back());
+    free_.pop_back();
+  }
+  hist.Reset(layout);
+  return hist;
+}
+
+void HistogramBuilder::Recycle(NodeHistogram hist) {
+  if (!hist.empty()) free_.push_back(std::move(hist));
+}
+
 NodeHistogram HistogramBuilder::Build(
     const HistogramLayout& layout, std::span<const int64_t> rows,
-    const std::vector<GradientPair>& gpairs) const {
-  NodeHistogram out(layout);
+    const std::vector<GradientPair>& gpairs) {
+  NodeHistogram out = Take(layout);
   const auto n = static_cast<int64_t>(rows.size());
   if (n == 0) return out;
   if (n <= kHistChunkRows) {
@@ -92,11 +143,13 @@ NodeHistogram HistogramBuilder::Build(
   // association of floating-point adds depends only on n, never on the
   // worker count, so models are bit-identical for any num_threads.
   const int64_t num_chunks = (n + kHistChunkRows - 1) / kHistChunkRows;
+  // The partials are taken here, on the calling thread: the free list is
+  // not shared with the pool's workers.
   std::vector<NodeHistogram> partials(static_cast<size_t>(num_chunks));
+  for (NodeHistogram& partial : partials) partial = Take(layout);
   auto accumulate_chunk = [&](int64_t chunk, int64_t begin, int64_t end) {
-    NodeHistogram& partial = partials[static_cast<size_t>(chunk)];
-    partial = NodeHistogram(layout);
-    AccumulateCells(layout, *binned_, rows, gpairs, begin, end, &partial);
+    AccumulateCells(layout, *binned_, rows, gpairs, begin, end,
+                    &partials[static_cast<size_t>(chunk)]);
   };
   auto merge_slot = [&](HistEntry* dst, int64_t slot, bool missing) {
     for (const NodeHistogram& partial : partials) {
@@ -127,6 +180,7 @@ NodeHistogram HistogramBuilder::Build(
     pool_->ParallelForChunks(n, kHistChunkRows, accumulate_chunk);
     pool_->ParallelFor(num_slots + num_miss, merge_all);
   }
+  for (NodeHistogram& partial : partials) Recycle(std::move(partial));
   return out;
 }
 

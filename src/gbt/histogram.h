@@ -58,6 +58,10 @@ class NodeHistogram {
 
   bool empty() const { return slots_.empty() && miss_.empty(); }
 
+  /// Reshapes this histogram to `layout` and zeroes every slot, keeping
+  /// the storage it already has.
+  void Reset(const HistogramLayout& layout);
+
   /// Bin slots of the i-th selected feature (layout.num_bins(i) entries).
   const HistEntry* feature_slots(const HistogramLayout& layout, int i) const {
     return slots_.data() + layout.offset(i);
@@ -94,6 +98,11 @@ class NodeHistogram {
 /// the row count), each chunk is accumulated independently, and the chunk
 /// partials are merged in ascending chunk order — so the result is
 /// bit-identical for any thread count, including inline execution.
+///
+/// The builder keeps the histograms handed back through Recycle and builds
+/// into their storage instead of allocating. It holds no more of them than
+/// its caller once held at the same time (a tree's trainer: about one per
+/// level). It is not thread-safe: one training run owns one builder.
 class HistogramBuilder {
  public:
   /// `bins` and `binned` must outlive the builder. `pool` may be null for
@@ -105,12 +114,19 @@ class HistogramBuilder {
   /// Accumulates the histogram of `rows` for every feature in `layout`.
   NodeHistogram Build(const HistogramLayout& layout,
                       std::span<const int64_t> rows,
-                      const std::vector<GradientPair>& gpairs) const;
+                      const std::vector<GradientPair>& gpairs);
+
+  /// Hands a histogram that is no longer needed back for reuse.
+  void Recycle(NodeHistogram hist);
 
  private:
+  /// A zeroed histogram in `layout`, in recycled storage when there is any.
+  NodeHistogram Take(const HistogramLayout& layout);
+
   const FeatureBins* bins_;
   const BinnedMatrix* binned_;
   ThreadPool* pool_;
+  std::vector<NodeHistogram> free_;
 };
 
 }  // namespace mysawh::gbt

@@ -54,7 +54,19 @@ double ThresholdL1(double g, double alpha) {
   return 0.0;
 }
 
+/// Whether this CPU supports AVX2, asked once per process.
+bool HostHasAvx2() {
+#if MYSAWH_SPLIT_SCAN_AVX2
+  static const bool has_avx2 = __builtin_cpu_supports("avx2");
+  return has_avx2;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
+
+const char* SplitKernelName() { return HostHasAvx2() ? "avx2" : "baseline"; }
 
 Trainer::Trainer(const Dataset& train, const GbtParams& params)
     : train_(train),
@@ -157,8 +169,8 @@ Trainer::SplitCandidate Trainer::FindSplitHist(
   const double parent_score = ScoreFn(parent.sum_g, parent.sum_h);
   const int64_t present = parent.count - miss.count;
   if (params_.monotone_constraints.empty()) {
-    return FindSplitHistFast(feature, nb, slots, miss, parent, parent_score,
-                             present);
+    return FindSplitHistFast(
+        {feature, nb, slots, miss, parent, parent_score, present});
   }
   double acc_g = 0.0, acc_h = 0.0;
   int64_t acc_c = 0;
@@ -177,8 +189,37 @@ Trainer::SplitCandidate Trainer::FindSplitHist(
 }
 
 Trainer::SplitCandidate Trainer::FindSplitHistFast(
-    int feature, int nb, const HistEntry* slots, const NodeStats& miss,
-    const NodeStats& parent, double parent_score, int64_t present) const {
+    const BoundaryScan& scan) const {
+#if MYSAWH_SPLIT_SCAN_AVX2
+  if (HostHasAvx2()) return FindSplitHistAvx2(scan);
+#endif
+  return FindSplitHistBaseline(scan);
+}
+
+// The two compiled copies of ScanBoundaries. Wider AVX2 vectors change how
+// many boundaries one instruction scores, never a rounding (see the
+// comment in ScanBoundaries). The copy is picked per call from a cached
+// CPU check, not by an ifunc resolver (docs/gbt.md).
+Trainer::SplitCandidate Trainer::FindSplitHistBaseline(
+    const BoundaryScan& scan) const {
+  return ScanBoundaries(scan);
+}
+
+#if MYSAWH_SPLIT_SCAN_AVX2
+Trainer::SplitCandidate Trainer::FindSplitHistAvx2(
+    const BoundaryScan& scan) const {
+  return ScanBoundaries(scan);
+}
+#endif
+
+Trainer::SplitCandidate Trainer::ScanBoundaries(
+    const BoundaryScan& scan) const {
+  const int nb = scan.nb;
+  const HistEntry* slots = scan.slots;
+  const NodeStats& miss = scan.miss;
+  const NodeStats& parent = scan.parent;
+  const double parent_score = scan.parent_score;
+  const int64_t present = scan.present;
   const double alpha = params_.reg_alpha;
   const double lambda = params_.reg_lambda;
   const double gamma = params_.gamma;
@@ -200,21 +241,23 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
       miss.count == 0 && miss.sum_g == 0.0 && miss.sum_h == 0.0;
   // Array form: prefix sums first, then two gain loops whose iterations
   // are independent and whose compares end in selects, not branches. Both
-  // loops vectorize (two lanes with SSE2) because src/CMakeLists.txt
-  // compiles this file with -fno-trapping-math: under the default
-  // -ftrapping-math GCC will not if-convert the FP compares ("control flow
-  // in loop"). The flag permits neither reassociation nor contraction, so
-  // every lane computes the scalar IEEE result. Counts are carried as
-  // doubles (exact for any realistic row count) to keep the loops in one
-  // vector domain. Only occupied boundaries are kept: an empty bin repeats
-  // its predecessor's prefix and the generic scan skips it ("no boundary
-  // change"), so the prefix pass compacts the occupied ones, with their
-  // bin index, into the first `m` entries. Empty bins still feed the
-  // running sums, since a subtracted histogram may leave a rounding
-  // residue in a zero-count slot.
+  // loops vectorize (two lanes with SSE2, four in the AVX2 copy) because
+  // src/CMakeLists.txt compiles this file with -fno-trapping-math: under
+  // the default -ftrapping-math GCC will not if-convert the FP compares
+  // ("control flow in loop"). That flag permits no reassociation and
+  // -ffp-contract=off forbids contraction, so every lane computes the
+  // scalar IEEE result. Counts are carried as doubles (exact for any
+  // realistic row count) to keep the loops in one vector domain. Only
+  // occupied boundaries are kept: an empty bin repeats its predecessor's
+  // prefix and the generic scan skips it ("no boundary change"), so the
+  // prefix pass compacts the occupied ones, with their bin index, into the
+  // first `m` entries. Empty bins still feed the running sums, since a
+  // subtracted histogram may leave a rounding residue in a zero-count slot.
+  constexpr int kLanes = 4;
   double pg[kMaxBins], ph[kMaxBins], pc[kMaxBins];
   int bin[kMaxBins];
-  double gain_l[kMaxBins], gain_r[kMaxBins];
+  // Padded to whole groups of kLanes for the max pass below.
+  double gain_l[kMaxBins + kLanes], gain_r[kMaxBins + kLanes];
   int m = 0;
   {
     double ag = 0.0, ah = 0.0;
@@ -264,22 +307,38 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
       gain_r[i] = ok ? gain : neg_inf;
     }
   }
-  // Strict >: bins ascend and missing-left is checked first, so keeping the
-  // incumbent on ties reproduces ConsiderSplit's smaller-threshold /
-  // missing-left preference.
+  // Argmax in two passes. First the largest gain above kMinSplitGain, as a
+  // lane-wise running max: `x > max ? x : max` skips NaN like the strict >
+  // it replaces, and since every kept value exceeds kMinSplitGain > 0 the
+  // lane order cannot matter (no signed zeros). Then the first boundary in
+  // (bin, missing-left, missing-right) order whose gain equals it: the
+  // candidate a strict-> scan in that order keeps, which reproduces
+  // ConsiderSplit's smaller-threshold / missing-left preference.
+  const int padded = (m + kLanes - 1) / kLanes * kLanes;
+  double lane_max[kLanes];
+  for (int j = 0; j < kLanes; ++j) lane_max[j] = kMinSplitGain;
+  const auto max_into_lanes = [&](double* gains) {
+    for (int i = m; i < padded; ++i) gains[i] = neg_inf;
+    for (int i = 0; i < padded; i += kLanes) {
+      for (int j = 0; j < kLanes; ++j) {
+        lane_max[j] = gains[i + j] > lane_max[j] ? gains[i + j] : lane_max[j];
+      }
+    }
+  };
+  max_into_lanes(gain_l);
+  if (!no_miss) max_into_lanes(gain_r);
   double best_gain = kMinSplitGain;
+  for (const double lane : lane_max) best_gain = std::max(best_gain, lane);
   int best = -1;
   bool best_dir = true;
-  for (int i = 0; i < m; ++i) {
-    if (gain_l[i] > best_gain) {
-      best_gain = gain_l[i];
-      best = i;
-      best_dir = true;
-    }
-    if (!no_miss && gain_r[i] > best_gain) {
-      best_gain = gain_r[i];
-      best = i;
-      best_dir = false;
+  if (best_gain > kMinSplitGain) {
+    for (int i = 0; best < 0; ++i) {
+      if (gain_l[i] == best_gain) {
+        best = i;
+      } else if (!no_miss && gain_r[i] == best_gain) {
+        best = i;
+        best_dir = false;
+      }
     }
   }
   SplitCandidate candidate;
@@ -289,8 +348,8 @@ Trainer::SplitCandidate Trainer::FindSplitHistFast(
     const double gr = best_dir ? gsub - pg[best] : (gsub - pg[best]) + miss_g;
     const double hr = best_dir ? hsub - ph[best] : (hsub - ph[best]) + miss_h;
     candidate.valid = true;
-    candidate.feature = feature;
-    candidate.threshold = bins_.cut(feature, bin[best]);
+    candidate.feature = scan.feature;
+    candidate.threshold = bins_.cut(scan.feature, bin[best]);
     candidate.bin = bin[best];
     candidate.default_left = best_dir;
     candidate.gain = best_gain;
@@ -343,6 +402,7 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, TreeState* state,
   }
 
   if (!best.valid) {
+    hist_builder_->Recycle(std::move(hist));
     TreeNode* leaf = tree->mutable_node(node_id);
     const double weight = std::min(
         bounds.upper,
@@ -423,7 +483,9 @@ void Trainer::BuildNode(RegressionTree* tree, int node_id, TreeState* state,
     left_hist = left_smaller ? std::move(smaller) : std::move(larger);
     right_hist = left_smaller ? std::move(larger) : std::move(smaller);
   }
-  hist = NodeHistogram();  // release the parent histogram before recursing
+  // Hand the parent histogram back before recursing (moved-from when the
+  // subtraction consumed it).
+  hist_builder_->Recycle(std::move(hist));
   // Propagate monotone weight bounds: when this split is constrained, the
   // children's admissible weights are separated at the midpoint of the
   // candidate child weights (XGBoost's rule).

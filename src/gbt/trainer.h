@@ -13,7 +13,22 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+// The unconstrained split scan is compiled twice, once for the baseline
+// target and once for AVX2, where GCC and Clang accept a per-function
+// target on x86.
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define MYSAWH_SPLIT_SCAN_AVX2 1
+#else
+#define MYSAWH_SPLIT_SCAN_AVX2 0
+#endif
+
 namespace mysawh::gbt {
+
+/// The copy of the split scan this host runs: "avx2" when the build has an
+/// AVX2 copy and the CPU supports it, else "baseline". Both copies pick the
+/// same splits; run manifests record which one ran.
+const char* SplitKernelName();
 
 /// Internal training engine behind GbtModel::Train. Exposed in a header so
 /// tests can exercise split finding directly, but not part of the stable
@@ -66,17 +81,32 @@ class Trainer {
                      double threshold, int bin, const NodeBounds& bounds,
                      SplitCandidate* best) const;
 
+  /// One feature's histogram, as the unconstrained boundary scan reads it.
+  struct BoundaryScan {
+    int feature = -1;
+    int nb = 0;  ///< Bin count of the feature.
+    const HistEntry* slots = nullptr;
+    NodeStats miss;
+    NodeStats parent;
+    double parent_score = 0.0;  ///< ScoreFn(parent).
+    int64_t present = 0;        ///< parent.count - miss.count.
+  };
+
   /// Unconstrained boundary scan (no monotone constraints configured, so
   /// node bounds are always infinite and no candidate can be rejected after
   /// scoring). Same gains, tie-breaks, and results as the generic path
   /// through ConsiderSplit, but with the per-boundary work reduced to the
-  /// two score divisions. This is the training hot loop.
-  SplitCandidate FindSplitHistFast(int feature, int nb,
-                                   const HistEntry* slots,
-                                   const NodeStats& miss,
-                                   const NodeStats& parent,
-                                   double parent_score,
-                                   int64_t present) const;
+  /// two score divisions. This is the training hot loop; it runs the AVX2
+  /// copy on hosts that have AVX2.
+  SplitCandidate FindSplitHistFast(const BoundaryScan& scan) const;
+  /// The scan's body, written once and inlined into both copies below.
+  [[gnu::always_inline]] inline SplitCandidate ScanBoundaries(
+      const BoundaryScan& scan) const;
+  SplitCandidate FindSplitHistBaseline(const BoundaryScan& scan) const;
+#if MYSAWH_SPLIT_SCAN_AVX2
+  __attribute__((target("avx2"))) SplitCandidate FindSplitHistAvx2(
+      const BoundaryScan& scan) const;
+#endif
   /// Scans the prebuilt node histogram of the `feature_pos`-th selected
   /// feature for the best boundary.
   SplitCandidate FindSplitHist(int feature_pos, const HistogramLayout& layout,
@@ -127,6 +157,8 @@ class Trainer {
   int64_t hist_nodes_subtracted_ = 0;  ///< Histograms derived by subtraction.
   Rng rng_;
   ThreadPool pool_;
+
+  friend class TrainerTestPeer;  // tests/histogram_test.cc
 };
 
 }  // namespace mysawh::gbt

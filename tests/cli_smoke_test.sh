@@ -209,6 +209,16 @@ awk -F, 'BEGIN { OFS = "," } NR >= 2 && NR <= 6 { $2 = "inf" } NR == 7 { $3 = "-
 "$CLI" audit-replay --audit smoke_inf_audit.bin --model smoke.model \
   | grep -q "all match" || { echo "audit log with inf features must replay" >&2; exit 1; }
 
+# explain answers from its own tree walk; with --audit-out it also runs the
+# explained row through the audited predict and SHAP paths, so the log
+# holds that row and replays cleanly.
+"$CLI" explain --model smoke.model --data smoke_dd_fi.csv --row 3 \
+  --audit-out explain_audit.bin --audit-sample-rate 1 > explain_audit.out
+records=$(sed -n 's/^wrote audit log (\([0-9]*\) records).*/\1/p' explain_audit.out)
+test "${records:-0}" -ge 1 || { echo "explain --audit-out logged no records" >&2; exit 1; }
+"$CLI" audit-replay --audit explain_audit.bin --model smoke.model \
+  | grep -q "all match" || { echo "explain audit log must replay" >&2; exit 1; }
+
 # --- report degrades gracefully on sparse manifests -----------------------
 # A manifest from an older pipeline (no cells / data_quality / telemetry
 # blocks) must render with warnings, not fail: exit 0, warning on stderr.

@@ -234,7 +234,8 @@ def check_manifest(path):
     if manifest.get("schema") != "mysawh-run-manifest v1":
         fail(f"{path}: bad schema field: {manifest.get('schema')!r}")
     for key in ("git_describe", "fingerprint", "seed", "model_family",
-                "cells", "data_quality", "drift", "calibration", "metrics"):
+                "split_kernel", "cells", "data_quality", "drift",
+                "calibration", "metrics"):
         if key not in manifest:
             fail(f"{path}: missing '{key}'")
     cells = manifest["cells"]

@@ -473,6 +473,18 @@ Status RunExplain(const FlagParser& flags) {
   MYSAWH_ASSIGN_OR_RETURN(auto explanation,
                           explain::ExplainRow(shap, data, row));
   std::cout << explanation.ToString(static_cast<int>(top));
+  if (core::AuditEnabled()) {
+    // ExplainRow walks the trees itself, past the audited batch paths, so
+    // the explained row also goes through Predict and ShapBatch once: the
+    // audit log then holds what --audit-out promises.
+    Dataset explained = Dataset::Create(data.feature_names());
+    const double* values = data.row(row);
+    MYSAWH_RETURN_NOT_OK(explained.AddRow(
+        std::vector<double>(values, values + data.num_features()),
+        data.label(row)));
+    MYSAWH_RETURN_NOT_OK(gbt->Predict(explained).status());
+    MYSAWH_RETURN_NOT_OK(shap.ShapBatch(explained).status());
+  }
   return Status::Ok();
 }
 
