@@ -4,15 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <bitset>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <utility>
 
 #include "bench/perf_json_main.h"
+#include "bench/study_shaped_data.h"
 #include "core/audit_log.h"
 #include "core/drift_monitor.h"
 #include "core/evaluation.h"
@@ -108,59 +107,6 @@ BENCHMARK(BM_TrainHist)
     ->Args({8000, 64})
     ->Unit(benchmark::kMillisecond);
 
-/// A study-shaped training partition, 1,800 rows x 60 features. As in the
-/// study's DD samples, 56 features are questionnaire scores: each is the
-/// mean of a few Likert answers (4 to 11 levels), so most rows sit on
-/// quarter steps and a tail of rare fractional levels fills out the bins,
-/// and 2% of these cells are missing. Three features are continuous
-/// wearable aggregates and one is a frailty index with 33 levels.
-Dataset MakeStudyShapedData(uint64_t seed) {
-  constexpr int64_t kRows = 1800;
-  constexpr int64_t kFeatures = 60;
-  constexpr int64_t kScores = 56;
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  Rng rng(seed);
-  std::vector<std::string> names;
-  for (int64_t f = 0; f < kFeatures; ++f) {
-    names.push_back(std::string("f").append(std::to_string(f)));
-  }
-  Dataset ds = Dataset::Create(names);
-  std::vector<double> row(static_cast<size_t>(kFeatures));
-  for (int64_t i = 0; i < kRows; ++i) {
-    const double health = rng.Normal();  // the patient's latent state
-    for (int64_t f = 0; f < kScores; ++f) {
-      double& score = row[static_cast<size_t>(f)];
-      if (rng.Uniform() < 0.02) {
-        score = kNaN;
-        continue;
-      }
-      const double levels = 4.0 + static_cast<double>(f % 8);
-      const int64_t answers = rng.Uniform() < 0.8 ? 4 : rng.UniformInt(2, 6);
-      const double center = 0.5 * (levels + 1.0) + 0.15 * levels * health;
-      double sum = 0.0;
-      for (int64_t a = 0; a < answers; ++a) {
-        const double answer =
-            std::round(center + rng.Normal(0.0, 0.15 * levels));
-        sum += std::clamp(answer, 1.0, levels);
-      }
-      score = sum / static_cast<double>(answers);
-    }
-    for (int64_t f = kScores; f + 1 < kFeatures; ++f) {
-      row[static_cast<size_t>(f)] =
-          6000.0 + 2000.0 * health + rng.Normal(0.0, 1500.0);
-    }
-    const double frailty = std::round(16.0 - 6.0 * health + rng.Normal(0, 3));
-    row[kFeatures - 1] = std::clamp(frailty, 0.0, 32.0) / 32.0;
-    double y = 50.0 + 10.0 * health + rng.Normal(0.0, 5.0);
-    for (int64_t f = 0; f < 6; ++f) {
-      const double v = row[static_cast<size_t>(f)];
-      if (!std::isnan(v)) y += (f % 2 == 0 ? 1.5 : -1.0) * v;
-    }
-    (void)ds.AddRow(row, y);
-  }
-  return ds;
-}
-
 /// Mean bins and occupied bins per feature scan that a trained model
 /// implies. Every node the trainer scanned (depth < max_depth and at least
 /// 2 * min_samples_leaf rows) is revisited with all rows routed by the
@@ -220,7 +166,7 @@ ScanShape MeasureScanShape(const Dataset& data, const GbtModel& model,
 /// the split-find shape (MeasureScanShape); the study's own scans average
 /// 57.7 bins, 29.6 of them occupied.
 void BM_TrainStudyShape(benchmark::State& state) {
-  const Dataset data = MakeStudyShapedData(3);
+  const Dataset data = mysawh::bench::MakeStudyShapedData(3);
   const GbtParams params = mysawh::core::DefaultGbtParams(
       mysawh::core::Outcome::kQol, mysawh::core::Approach::kDataDriven);
   for (auto _ : state) {

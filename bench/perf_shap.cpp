@@ -1,11 +1,14 @@
 /// google-benchmark microbenchmarks for exact TreeSHAP: per-row explanation
-/// latency as a function of ensemble size and tree depth (the algorithm is
-/// O(trees * leaves * depth^2)).
+/// latency as a function of ensemble size and tree depth, batch SHAP
+/// against its reference twin, and a deployment-shaped ExplainRow.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/perf_json_main.h"
+#include "bench/study_shaped_data.h"
+#include "core/evaluation.h"
 #include "data/dataset.h"
+#include "explain/explanation.h"
 #include "explain/tree_shap.h"
 #include "gbt/gbt_model.h"
 #include "util/rng.h"
@@ -71,9 +74,9 @@ void BM_ShapByDepth(benchmark::State& state) {
 BENCHMARK(BM_ShapByDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
-/// Batch SHAP through the flat-forest recursion (the default dispatch).
-/// BM_ShapBatchRef is the reference per-tree recursion twin; their ratio
-/// is the flat SHAP speedup claimed in DESIGN.md.
+/// Batch SHAP through the model's cached pattern tables (the default
+/// dispatch). BM_ShapBatchRef is the reference per-tree recursion twin;
+/// their ratio is the table-replay speedup claimed in DESIGN.md.
 void BM_ShapBatch(benchmark::State& state) {
   const Dataset train = MakeData(2000, 59, 5);  // paper-width feature space
   GbtParams params;
@@ -90,8 +93,8 @@ void BM_ShapBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ShapBatch)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 
-/// Reference twin of BM_ShapBatch: per-(row, tree) recursion over the
-/// original tree nodes with a freshly allocated workspace each time.
+/// Reference twin of BM_ShapBatch: per-row recursion over the original
+/// tree nodes, one workspace per row.
 void BM_ShapBatchRef(benchmark::State& state) {
   const Dataset train = MakeData(2000, 59, 5);
   GbtParams params;
@@ -107,6 +110,29 @@ void BM_ShapBatchRef(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * probe.num_rows());
 }
 BENCHMARK(BM_ShapBatchRef)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
+
+/// One per-patient request as deployed: ExplainRow (prediction plus SHAP
+/// contributions ranked by size) on a data-driven study fit (300 trees,
+/// depth 4, 60 features; the study-shaped partition perf_gbt trains on),
+/// cycling through its rows. The model's pattern tables are built by the
+/// first call, before the timed loop.
+void BM_ExplainRow(benchmark::State& state) {
+  const Dataset data = mysawh::bench::MakeStudyShapedData(3);
+  const GbtModel model =
+      GbtModel::Train(data, mysawh::core::DefaultGbtParams(
+                                mysawh::core::Outcome::kQol,
+                                mysawh::core::Approach::kDataDriven))
+          .value();
+  const TreeShap shap(&model);
+  benchmark::DoNotOptimize(shap.Shap(data.row(0)));
+  int64_t row = 0;
+  for (auto _ : state) {
+    auto explanation = mysawh::explain::ExplainRow(shap, data, row);
+    benchmark::DoNotOptimize(explanation);
+    row = (row + 1) % data.num_rows();
+  }
+}
+BENCHMARK(BM_ExplainRow)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

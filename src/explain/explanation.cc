@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "gbt/objective.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 
@@ -47,8 +48,11 @@ Result<LocalExplanation> ExplainRow(const TreeShap& shap, const Dataset& data,
   LocalExplanation out;
   const double* x = data.row(row);
   const std::vector<double> phi = shap.Shap(x);
+  // One walk of the trees: PredictRow would repeat it to transform.
   out.raw_prediction = shap.model().PredictRowRaw(x);
-  out.prediction = shap.model().PredictRow(x);
+  out.prediction =
+      gbt::MakeObjective(shap.model().objective_type())
+          ->Transform(out.raw_prediction);
   out.expected_value = shap.expected_value();
   const auto& names = shap.model().feature_names();
   out.contributions.reserve(phi.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "core/audit_log.h"
 #include "gbt/flat_forest.h"
@@ -183,108 +184,42 @@ void TreeShapRecurse(const RegressionTree& tree, const double* x, double* phi,
                   cold_condition_fraction);
 }
 
-/// The condition == 0 recursion of TreeShapRecurse, specialized onto the
-/// compiled flat forest: leaf-tagged child refs instead of node pointers,
-/// the row's quantized bins instead of double comparisons, and the
-/// compile-time cover fractions instead of per-visit divisions. Every
-/// arithmetic operation matches the reference recursion operand for
-/// operand, so the attributions are bit-identical.
-void FlatShapRecurse(const gbt::FlatForest& flat, const uint8_t* bins,
-                     double* phi, int32_t ref, int unique_depth,
-                     PathElement* parent_unique_path,
-                     double parent_zero_fraction, double parent_one_fraction,
-                     int parent_feature_index) {
-  PathElement* unique_path = parent_unique_path + unique_depth + 1;
-  std::copy(parent_unique_path, parent_unique_path + unique_depth + 1,
-            unique_path);
-  ExtendPath(unique_path, unique_depth, parent_zero_fraction,
-             parent_one_fraction, parent_feature_index);
-
-  if (ref < 0) {
-    const double value = flat.leaf_value(~ref);
-    for (int i = 1; i <= unique_depth; ++i) {
-      const double w = UnwoundPathSum(unique_path, unique_depth, i);
-      const PathElement& el = unique_path[i];
-      phi[el.feature_index] +=
-          w * (el.one_fraction - el.zero_fraction) * value;
-    }
-    return;
-  }
-
-  const int feature = flat.feature(ref);
-  const uint8_t bin = bins[feature];
-  const bool left_hot = bin == gbt::kFlatMissingBin
-                            ? flat.default_left(ref)
-                            : bin < flat.bin_threshold(ref);
-  const int32_t hot = left_hot ? flat.left(ref) : flat.right(ref);
-  const int32_t cold = left_hot ? flat.right(ref) : flat.left(ref);
-  const double hot_zero_fraction =
-      left_hot ? flat.left_fraction(ref) : flat.right_fraction(ref);
-  const double cold_zero_fraction =
-      left_hot ? flat.right_fraction(ref) : flat.left_fraction(ref);
-  double incoming_zero_fraction = 1.0;
-  double incoming_one_fraction = 1.0;
-
-  int path_index = 0;
-  for (; path_index <= unique_depth; ++path_index) {
-    if (unique_path[path_index].feature_index == feature) break;
-  }
-  if (path_index != unique_depth + 1) {
-    incoming_zero_fraction = unique_path[path_index].zero_fraction;
-    incoming_one_fraction = unique_path[path_index].one_fraction;
-    UnwindPath(unique_path, unique_depth, path_index);
-    unique_depth -= 1;
-  }
-
-  FlatShapRecurse(flat, bins, phi, hot, unique_depth + 1, unique_path,
-                  hot_zero_fraction * incoming_zero_fraction,
-                  incoming_one_fraction, feature);
-  FlatShapRecurse(flat, bins, phi, cold, unique_depth + 1, unique_path,
-                  cold_zero_fraction * incoming_zero_fraction, 0.0, feature);
-}
-
-/// Workspace size for any tree of the flat forest (the forest-wide depth
-/// bounds every per-tree recursion; extra slots are never read).
-size_t FlatWorkspaceSize(const gbt::FlatForest& flat) {
-  const int maxd = flat.max_depth() + 2;
+/// Path elements one recursion over trees at most `max_depth` deep uses:
+/// each level copies its parent's path into the next slice. The buffer is
+/// reusable across rows and trees because every slot a recursion reads was
+/// written earlier in the same recursion (the root ExtendPath fully
+/// initializes element 0).
+size_t WorkspaceSize(int max_depth) {
+  const int maxd = max_depth + 2;
   return static_cast<size_t>((maxd * (maxd + 1)) / 2 + maxd + 1);
 }
 
-/// One row's attributions over every tree of the flat forest. `workspace`
-/// must hold FlatWorkspaceSize(flat) elements; it is reusable across rows
-/// and trees because every slot the recursion reads was written earlier in
-/// the same recursion (the root ExtendPath fully initializes element 0).
-void FlatShapRow(const gbt::FlatForest& flat, const uint8_t* bins,
-                 PathElement* workspace, double* phi) {
-  for (int t = 0; t < flat.num_trees(); ++t) {
-    FlatShapRecurse(flat, bins, phi, flat.root(t), 0, workspace, 1.0, 1.0,
-                    -1);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Batch pattern tables.
+// Pattern tables.
 //
 // For a fixed tree, everything the recursion computes at a leaf is a
 // function of ONE per-row input: the direction the row takes at each of the
 // leaf's ancestors. The split fractions, the leaf value, the unique-path
 // feature set — all row-independent; the row only decides which child is
 // "hot" (one_fraction 1) at each ancestor. A leaf at depth d therefore has
-// exactly 2^d possible addend vectors. When a batch has more rows than
-// patterns, running the recursion per row repeats the same arithmetic, so
-// ShapBatch instead enumerates every (leaf, pattern) pair once per batch,
-// storing each addend `w * (one_fraction - zero_fraction) * value` the
-// recursion would produce, and each row replays a table-lookup walk.
+// exactly 2^d possible addend vectors. Running the recursion per row
+// repeats the same arithmetic, so the model's tables enumerate every
+// (leaf, pattern) pair once, storing each addend
+// `w * (one_fraction - zero_fraction) * value` the recursion would produce,
+// and each row replays a table-lookup walk. The tables depend only on the
+// model: a TreeShap builds them on first use and serves Shap and ShapBatch
+// from them.
 //
-// Bit-identity with the per-row recursion holds because (a) the stored
-// addends come out of the SAME recursion code, just driven by an enumerated
-// direction bit instead of the row's bin comparison, and (b) the replay
-// adds them to phi in the SAME order the recursion would: trees ascending,
-// leaves in hot-child-first DFS order within a tree, path positions
-// ascending within a leaf.
+// Bit-identity with the reference recursion holds because (a) the stored
+// addends come out of the SAME path arithmetic, on the flat forest's
+// compile-time cover fractions (computed with the recursion's division),
+// driven by an enumerated direction bit instead of the row's split test,
+// and (b) the replay adds them to phi in the SAME order the recursion
+// would: trees ascending, leaves in hot-child-first DFS order within a
+// tree, path positions ascending within a leaf.
 // ---------------------------------------------------------------------------
 
-/// Ancestor direction patterns wider than this fall back to the per-row
+/// Ancestor direction patterns wider than this fall back to the reference
 /// recursion (2^26 patterns on one leaf is already far past the point where
 /// the table could pay for itself, and the cap keeps the pattern index well
 /// inside uint32 and the replay stack bounded).
@@ -310,8 +245,7 @@ struct PatternTable {
   int32_t leaf_begin = 0;
 };
 
-/// Sizes both batch strategies: the per-row recursion visits every leaf
-/// once per row, the table builder visits leaf l 2^depth(l) times. Doubles
+/// Sizes the tables: the builder visits leaf l 2^depth(l) times. Doubles
 /// to keep pathological depths finite.
 void CountPatternVisits(const gbt::FlatForest& flat, int32_t ref, int depth,
                         int* deepest, double* pattern_visits) {
@@ -326,12 +260,12 @@ void CountPatternVisits(const gbt::FlatForest& flat, int32_t ref, int depth,
                      pattern_visits);
 }
 
-/// FlatShapRecurse with the row's direction bit replaced by an enumeration
-/// of both directions: at every internal node the recursion forks on
-/// b = "row goes left here", so each leaf is reached once per ancestor
-/// pattern, carrying exactly the path state the per-row recursion would
-/// have for a row with those directions. At the leaf the addends are
-/// stored instead of added.
+/// The condition == 0 TreeShapRecurse on the flat forest, with the row's
+/// direction replaced by an enumeration of both directions: at every
+/// internal node the recursion forks on b = "row goes left here", so each
+/// leaf is reached once per ancestor pattern, carrying exactly the path
+/// state the reference recursion would have for a row with those
+/// directions. At the leaf the addends are stored instead of added.
 void BuildPatternsRecurse(const gbt::FlatForest& flat, int32_t ref,
                           int unique_depth, PathElement* parent_unique_path,
                           double parent_zero_fraction,
@@ -403,7 +337,7 @@ void BuildPatternsRecurse(const gbt::FlatForest& flat, int32_t ref,
 
 std::vector<PatternTable> BuildPatternTables(const gbt::FlatForest& flat) {
   std::vector<PatternTable> tables(static_cast<size_t>(flat.num_trees()));
-  std::vector<PathElement> workspace(FlatWorkspaceSize(flat));
+  std::vector<PathElement> workspace(WorkspaceSize(flat.max_depth()));
   for (int t = 0; t < flat.num_trees(); ++t) {
     PatternTable& tbl = tables[static_cast<size_t>(t)];
     tbl.leaf_begin = flat.tree_leaf_begin(t);
@@ -468,10 +402,9 @@ void PatternShapRow(const gbt::FlatForest& flat,
   }
 }
 
-/// Tables win when the batch repeats more leaf visits than the builder
-/// spends enumerating patterns (with a 2x margin for the replay's own
-/// cost), and the table fits the depth and memory caps.
-bool UsePatternTables(const gbt::FlatForest& flat, int64_t rows) {
+/// The tables fit the caps: no leaf deeper than kPatternDepthCap and at
+/// most kPatternTableMaxBytes of addends.
+bool UsePatternTables(const gbt::FlatForest& flat) {
   int deepest = 0;
   double pattern_visits = 0.0;
   for (int t = 0; t < flat.num_trees(); ++t) {
@@ -480,25 +413,7 @@ bool UsePatternTables(const gbt::FlatForest& flat, int64_t rows) {
   if (deepest > kPatternDepthCap) return false;
   // Addends per pattern <= depth, so this bounds the payload from counts
   // already in hand.
-  if (pattern_visits * deepest * 8 > kPatternTableMaxBytes) return false;
-  const double direct_visits =
-      static_cast<double>(rows) * static_cast<double>(flat.num_leaves());
-  return 2.0 * pattern_visits <= direct_visits;
-}
-
-/// Workspace large enough for one recursion over `tree`.
-std::vector<PathElement> MakeWorkspace(const RegressionTree& tree) {
-  const int maxd = tree.MaxDepth() + 2;
-  return std::vector<PathElement>(
-      static_cast<size_t>((maxd * (maxd + 1)) / 2 + maxd + 1));
-}
-
-/// Accumulates one tree's (possibly conditioned) SHAP values into `phi`.
-void AccumulateTreeShap(const RegressionTree& tree, const double* x,
-                        double* phi, int condition, int condition_feature) {
-  std::vector<PathElement> workspace = MakeWorkspace(tree);
-  TreeShapRecurse(tree, x, phi, 0, 0, workspace.data(), 1.0, 1.0, -1,
-                  condition, condition_feature, 1.0);
+  return pattern_visits * deepest * 8 <= kPatternTableMaxBytes;
 }
 
 /// Cover-weighted mean leaf value of one tree.
@@ -514,21 +429,65 @@ double TreeExpectedValue(const RegressionTree& tree, int node_index) {
 
 }  // namespace
 
-TreeShap::TreeShap(const gbt::GbtModel* model) : model_(model) {
+/// The pattern tables of one model, shared by a TreeShap and its copies.
+struct TreeShap::PatternCache {
+  std::once_flag once;
+  bool built = false;  ///< false: no flat forest, or over the caps.
+  std::vector<PatternTable> tables;
+};
+
+TreeShap::TreeShap(const gbt::GbtModel* model)
+    : model_(model), tables_(std::make_shared<PatternCache>()) {
   // API contract, not input-reachable: every caller obtains the model from
   // training or a validated LoadFromFile (see the policy in util/logging.h).
   MYSAWH_CHECK(model != nullptr);
   expected_value_ = model->base_score();
   for (const auto& tree : model->trees()) {
     expected_value_ += TreeExpectedValue(tree, 0);
+    max_depth_ = std::max(max_depth_, tree.MaxDepth());
+  }
+}
+
+const TreeShap::PatternCache* TreeShap::Tables() const {
+  if (tables_ == nullptr) return nullptr;  // moved-from
+  std::call_once(tables_->once, [this] {
+    const gbt::FlatForest* flat = model_->flat_forest();
+    if (flat == nullptr || !UsePatternTables(*flat)) return;
+    TraceSpan span("shap.tables", "explain");
+    tables_->tables = BuildPatternTables(*flat);
+    size_t bytes = 0;
+    for (const PatternTable& tbl : tables_->tables) {
+      bytes += tbl.leaves.size() * sizeof(PatternLeaf) +
+               tbl.feats.size() * sizeof(int32_t) +
+               tbl.vals.size() * sizeof(double);
+    }
+    span.Arg("bytes", static_cast<int64_t>(bytes));
+    tables_->built = true;
+  });
+  return tables_->built ? tables_.get() : nullptr;
+}
+
+void TreeShap::AccumulateReference(const double* row, double* phi,
+                                   int condition,
+                                   int condition_feature) const {
+  std::vector<PathElement> workspace(WorkspaceSize(max_depth_));
+  for (const auto& tree : model_->trees()) {
+    TreeShapRecurse(tree, row, phi, 0, 0, workspace.data(), 1.0, 1.0, -1,
+                    condition, condition_feature, 1.0);
   }
 }
 
 std::vector<double> TreeShap::Shap(const double* row) const {
-  std::vector<double> phi(static_cast<size_t>(model_->num_features()), 0.0);
-  for (const auto& tree : model_->trees()) {
-    AccumulateTreeShap(tree, row, phi.data(), /*condition=*/0,
-                       /*condition_feature=*/-1);
+  const auto m = static_cast<size_t>(model_->num_features());
+  std::vector<double> phi(m, 0.0);
+  if (const PatternCache* cache = Tables()) {
+    const gbt::FlatForest& flat = *model_->flat_forest();
+    std::vector<uint8_t> bins(m);
+    flat.BinRow(row, bins.data());
+    PatternShapRow(flat, cache->tables, bins.data(), phi.data());
+  } else {
+    AccumulateReference(row, phi.data(), /*condition=*/0,
+                        /*condition_feature=*/-1);
   }
   return phi;
 }
@@ -542,12 +501,10 @@ std::vector<double> TreeShap::ShapInteractions(const double* row) const {
   for (size_t i = 0; i < m; ++i) {
     std::fill(phi_on.begin(), phi_on.end(), 0.0);
     std::fill(phi_off.begin(), phi_off.end(), 0.0);
-    for (const auto& tree : model_->trees()) {
-      AccumulateTreeShap(tree, row, phi_on.data(), /*condition=*/1,
-                         static_cast<int>(i));
-      AccumulateTreeShap(tree, row, phi_off.data(), /*condition=*/-1,
-                         static_cast<int>(i));
-    }
+    AccumulateReference(row, phi_on.data(), /*condition=*/1,
+                        static_cast<int>(i));
+    AccumulateReference(row, phi_off.data(), /*condition=*/-1,
+                        static_cast<int>(i));
     for (size_t j = 0; j < m; ++j) {
       if (j == i) continue;
       const double pairwise = (phi_on[j] - phi_off[j]) / 2.0;
@@ -561,55 +518,33 @@ std::vector<double> TreeShap::ShapInteractions(const double* row) const {
 
 Result<std::vector<std::vector<double>>> TreeShap::ShapBatch(
     const Dataset& data, ThreadPool* pool) const {
-  const gbt::FlatForest* flat = model_->flat_forest();
-  if (flat == nullptr) return ShapBatchReference(data, pool);
+  const PatternCache* cache = Tables();
+  if (cache == nullptr) return ShapBatchReference(data, pool);
   if (data.num_features() != model_->num_features()) {
     return Status::InvalidArgument("ShapBatch: dataset width mismatch");
   }
   TraceSpan span("shap.batch", "explain");
   span.Arg("rows", data.num_rows());
-  span.Arg("flat", 1);
+  span.Arg("pattern_tables", 1);
   static Counter* const rows_counter =
       MetricsRegistry::Global().GetCounter("shap.batch_rows");
   rows_counter->Increment(data.num_rows());
-  static Counter* const flat_rows_counter =
-      MetricsRegistry::Global().GetCounter("shap.batch_flat_rows");
-  flat_rows_counter->Increment(data.num_rows());
-  // Quantize the whole batch once; each row then runs the flat recursion
-  // with ONE workspace for all its trees (the reference path allocates one
-  // per (row, tree) and re-derives each tree's depth recursively).
-  const std::vector<uint8_t> bins = flat->BinMatrix(data);
-  const size_t workspace_size = FlatWorkspaceSize(*flat);
+  static Counter* const table_rows_counter =
+      MetricsRegistry::Global().GetCounter("shap.batch_table_rows");
+  table_rows_counter->Increment(data.num_rows());
+  // Quantize the whole batch once; each row then replays the cached
+  // tables (bit-identical — see the pattern-table block above).
+  const gbt::FlatForest& flat = *model_->flat_forest();
+  const std::vector<uint8_t> bins = flat.BinMatrix(data);
   const auto m = static_cast<size_t>(model_->num_features());
   std::vector<std::vector<double>> out(static_cast<size_t>(data.num_rows()));
   ThreadPool& workers = pool != nullptr ? *pool : DefaultPool();
-  // Large batches amortize the recursion itself: precompute every
-  // (leaf, ancestor-pattern) addend once, then replay per row (bit-identical
-  // — see the pattern-table block above). Small batches would pay more
-  // building the tables than the recursion costs, so they keep the
-  // per-row path.
-  const bool tables_pay = UsePatternTables(*flat, data.num_rows());
-  span.Arg("pattern_tables", tables_pay ? 1 : 0);
-  if (tables_pay) {
-    static Counter* const table_rows_counter =
-        MetricsRegistry::Global().GetCounter("shap.batch_table_rows");
-    table_rows_counter->Increment(data.num_rows());
-    const std::vector<PatternTable> tables = BuildPatternTables(*flat);
-    workers.ParallelFor(data.num_rows(), [&](int64_t r) {
-      std::vector<double> phi(m, 0.0);
-      PatternShapRow(*flat, tables, bins.data() + static_cast<size_t>(r) * m,
-                     phi.data());
-      out[static_cast<size_t>(r)] = std::move(phi);
-    });
-  } else {
-    workers.ParallelFor(data.num_rows(), [&](int64_t r) {
-      std::vector<PathElement> workspace(workspace_size);
-      std::vector<double> phi(m, 0.0);
-      FlatShapRow(*flat, bins.data() + static_cast<size_t>(r) * m,
-                  workspace.data(), phi.data());
-      out[static_cast<size_t>(r)] = std::move(phi);
-    });
-  }
+  workers.ParallelFor(data.num_rows(), [&](int64_t r) {
+    std::vector<double> phi(m, 0.0);
+    PatternShapRow(flat, cache->tables,
+                   bins.data() + static_cast<size_t>(r) * m, phi.data());
+    out[static_cast<size_t>(r)] = std::move(phi);
+  });
   // Audit hook: on the calling thread after the parallel loop, so
   // recording can never perturb the attributions it logs.
   if (core::AuditEnabled()) {
@@ -625,17 +560,21 @@ Result<std::vector<std::vector<double>>> TreeShap::ShapBatchReference(
   }
   TraceSpan span("shap.batch", "explain");
   span.Arg("rows", data.num_rows());
-  span.Arg("flat", 0);
+  span.Arg("pattern_tables", 0);
   static Counter* const rows_counter =
       MetricsRegistry::Global().GetCounter("shap.batch_rows");
   rows_counter->Increment(data.num_rows());
   // Each row's attribution is an independent recursion with its own
   // workspace writing its own output slot, so the pool changes nothing
   // about the values — only the wall clock.
+  const auto m = static_cast<size_t>(model_->num_features());
   std::vector<std::vector<double>> out(static_cast<size_t>(data.num_rows()));
   ThreadPool& workers = pool != nullptr ? *pool : DefaultPool();
   workers.ParallelFor(data.num_rows(), [&](int64_t r) {
-    out[static_cast<size_t>(r)] = Shap(data.row(r));
+    std::vector<double> phi(m, 0.0);
+    AccumulateReference(data.row(r), phi.data(), /*condition=*/0,
+                        /*condition_feature=*/-1);
+    out[static_cast<size_t>(r)] = std::move(phi);
   });
   if (core::AuditEnabled()) {
     core::AuditLog::Global().RecordShapBatch(model_->fingerprint(), data, out);

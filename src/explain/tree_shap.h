@@ -1,6 +1,7 @@
 #ifndef MYSAWH_EXPLAIN_TREE_SHAP_H_
 #define MYSAWH_EXPLAIN_TREE_SHAP_H_
 
+#include <memory>
 #include <vector>
 
 #include "data/dataset.h"
@@ -26,24 +27,29 @@ class TreeShap {
   /// `model` must outlive this object.
   explicit TreeShap(const gbt::GbtModel* model);
 
-  /// SHAP values for one row (num_features() doubles; NaN = missing).
+  /// SHAP values for one row (num_features() doubles; NaN = missing). Bins
+  /// the row against the compiled flat forest and replays the model's
+  /// pattern tables (see ShapBatch); a model without a flat forest, or one
+  /// whose tables would exceed the depth or memory caps, runs the
+  /// reference per-tree recursion. Both give bit-identical values.
   std::vector<double> Shap(const double* row) const;
 
-  /// SHAP values for every row of `data` (one inner vector per row). Runs
-  /// the flat-forest recursion when the model compiled one (bit-identical
-  /// to the reference recursion; see gbt/flat_forest.h), the reference
-  /// per-tree recursion otherwise. Batches with more rows than the forest
-  /// has ancestor-direction patterns amortize further: every
-  /// (leaf, pattern) addend is precomputed once per batch and each row
-  /// replays a table-lookup walk — same values, same accumulation order,
-  /// so still bit-identical. Rows are explained in parallel on `pool`
-  /// (nullptr = the shared `DefaultPool()`); the output equals calling
-  /// Shap() per row for any thread count and either batch strategy.
+  /// SHAP values for every row of `data` (one inner vector per row): each
+  /// row runs the same pattern-table replay as Shap(row), after one
+  /// quantization of the whole batch. The tables hold every
+  /// (leaf, ancestor-direction pattern) addend of the reference recursion;
+  /// they depend only on the model, so they are built once, on the first
+  /// Shap/ShapBatch call, and shared by this object's copies. Falls back
+  /// to ShapBatchReference exactly when Shap(row) falls back. Rows are
+  /// explained in parallel on `pool` (nullptr = the shared
+  /// `DefaultPool()`); the output equals calling Shap() per row for any
+  /// thread count.
   Result<std::vector<std::vector<double>>> ShapBatch(
       const Dataset& data, ThreadPool* pool = nullptr) const;
 
-  /// The uncompiled batch path (per-tree pointer recursion); the benchmark
-  /// twin and equivalence tests measure ShapBatch against this.
+  /// The reference per-tree pointer recursion over every row; the
+  /// benchmark twin and the oracle the equivalence tests hold ShapBatch
+  /// and Shap to.
   Result<std::vector<std::vector<double>>> ShapBatchReference(
       const Dataset& data, ThreadPool* pool = nullptr) const;
 
@@ -65,8 +71,21 @@ class TreeShap {
   const gbt::GbtModel& model() const { return *model_; }
 
  private:
+  struct PatternCache;
+
+  /// The model's pattern tables, built on the first call (thread-safe), or
+  /// nullptr when the model has no flat forest or is over the caps.
+  const PatternCache* Tables() const;
+
+  /// Adds the (possibly conditioned) reference recursion over every tree
+  /// to `phi`, reusing one workspace sized for the deepest tree.
+  void AccumulateReference(const double* row, double* phi, int condition,
+                           int condition_feature) const;
+
   const gbt::GbtModel* model_;
   double expected_value_ = 0.0;
+  int max_depth_ = 0;  ///< Deepest tree; sizes the recursion workspace.
+  std::shared_ptr<PatternCache> tables_;
 };
 
 }  // namespace mysawh::explain

@@ -307,17 +307,16 @@ TEST(DeterminismTest, FlatStagedPredictionsMatchReferenceWalker) {
 }
 
 TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
-  // The flat TreeSHAP recursion mirrors the reference recursion operand
-  // for operand (precomputed cover fractions divide the same values the
-  // reference divides per visit), so attributions are bit-identical for
-  // any worker count.
+  // The pattern-table replay on the flat forest keeps the reference
+  // recursion's arithmetic and accumulation order (precomputed cover
+  // fractions divide the same values the reference divides per visit), so
+  // attributions are bit-identical for any worker count.
   const Dataset train = MakeData(1000);
   const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const explain::TreeShap shap(&model);
-  // A handful of rows keeps ShapBatch on the per-row recursion; several
-  // hundred crosses its pattern-table threshold — both batch strategies
-  // must match the reference exactly.
+  // A handful of rows and several hundred: batch size no longer picks a
+  // strategy, and both must match the reference exactly.
   for (int64_t rows : {12, 300}) {
     const Dataset probe = MakeData(rows);
     const auto reference = shap.ShapBatchReference(probe).value();

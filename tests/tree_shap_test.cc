@@ -5,9 +5,14 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "gbt/gbt_model.h"
+#include "gbt/tree.h"
+#include "util/metrics.h"
 #include "util/rng.h"
+#include "util/serialization.h"
 
 namespace mysawh::explain {
 namespace {
@@ -15,6 +20,7 @@ namespace {
 using gbt::GbtModel;
 using gbt::GbtParams;
 using gbt::ObjectiveType;
+using gbt::RegressionTree;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -58,6 +64,26 @@ void ExpectAdditivity(const GbtModel& model, const Dataset& data,
     EXPECT_NEAR(total, model.PredictRowRaw(data.row(r)), tolerance)
         << "additivity violated at row " << r;
   }
+}
+
+/// Per-row Shap and ShapBatch must both equal the reference recursion
+/// (ShapBatchReference) bit for bit: an oracle independent of the pattern
+/// tables both of them replay.
+void ExpectMatchesReference(const TreeShap& shap, const Dataset& probe) {
+  const auto reference = shap.ShapBatchReference(probe).value();
+  const auto batch = shap.ShapBatch(probe).value();
+  ASSERT_EQ(reference.size(), static_cast<size_t>(probe.num_rows()));
+  EXPECT_EQ(batch, reference);
+  for (int64_t r = 0; r < probe.num_rows(); ++r) {
+    EXPECT_EQ(shap.Shap(probe.row(r)), reference[static_cast<size_t>(r)])
+        << "row " << r;
+  }
+}
+
+int64_t TableRows() {
+  return MetricsRegistry::Global()
+      .GetCounter("shap.batch_table_rows")
+      ->Value();
 }
 
 TEST(TreeShapTest, SingleSplitTreeMatchesAnalyticValues) {
@@ -177,10 +203,9 @@ TEST(TreeShapTest, ShapBatchMatchesPerRow) {
 
 TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
   // Deep trees over few features force repeated features on paths (the
-  // UnwindPath merge), and 256 probe rows cross ShapBatch's pattern-table
-  // threshold (the 10-row batch above stays on the per-row recursion), so
-  // the precomputed-addend path gets the exact-equality check including
-  // missing values.
+  // UnwindPath merge), so the pattern tables get the exact-equality check
+  // against the reference recursion on that branch, missing values
+  // included.
   const Dataset train = MakeData(500, 4, 32, /*missing_prob=*/0.15);
   GbtParams params;
   params.num_trees = 15;
@@ -194,6 +219,96 @@ TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
   for (int64_t r = 0; r < probe.num_rows(); ++r) {
     EXPECT_EQ(batch[static_cast<size_t>(r)], shap.Shap(probe.row(r)));
   }
+  ExpectMatchesReference(shap, probe);
+}
+
+TEST(TreeShapTest, StudyShapedModelMatchesReference) {
+  // The deployment shape: 300 trees of depth 4 whose splits route missing
+  // values both ways (learned default_left), probed with NaNs.
+  const Dataset train = MakeData(900, 12, 34, /*missing_prob=*/0.1);
+  GbtParams params;
+  params.num_trees = 300;
+  params.max_depth = 4;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  ASSERT_NE(model.flat_forest(), nullptr);
+  bool nan_left = false, nan_right = false;
+  for (const auto& tree : model.trees()) {
+    for (int i = 0; i < tree.num_nodes(); ++i) {
+      if (tree.node(i).IsLeaf()) continue;
+      (tree.node(i).default_left ? nan_left : nan_right) = true;
+    }
+  }
+  ASSERT_TRUE(nan_left && nan_right);
+  const TreeShap shap(&model);
+  const int64_t table_rows = TableRows();
+  ExpectMatchesReference(shap, MakeData(120, 12, 35, /*missing_prob=*/0.2));
+  EXPECT_EQ(TableRows() - table_rows, 120);
+}
+
+TEST(TreeShapTest, TableCacheFirstUseIsThreadSafe) {
+  // The tables are built on first use; four threads race to make that
+  // first call on one fresh TreeShap, half of them through a copy that
+  // shares its cache.
+  const Dataset train = MakeData(600, 6, 37, /*missing_prob=*/0.1);
+  GbtParams params;
+  params.num_trees = 40;
+  params.max_depth = 4;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  const Dataset probe = MakeData(16, 6, 38, /*missing_prob=*/0.2);
+  const TreeShap shap(&model);
+  const TreeShap copy = shap;
+  std::vector<std::vector<std::vector<double>>> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const TreeShap& mine = t % 2 == 0 ? shap : copy;
+      for (int64_t r = 0; r < probe.num_rows(); ++r) {
+        got[t].push_back(mine.Shap(probe.row(r)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const auto reference = shap.ShapBatchReference(probe).value();
+  for (size_t t = 0; t < 4; ++t) EXPECT_EQ(got[t], reference) << t;
+}
+
+TEST(TreeShapTest, ForestOverTheCapsFallsBackToReference) {
+  // A caterpillar tree 30 levels deep: its deepest leaves would need 2^30
+  // patterns each, past the depth cap, so Shap and ShapBatch take the
+  // reference recursion. Splits alternate features, so paths repeat them.
+  constexpr int kDepth = 30;
+  RegressionTree tree;
+  int spine = 0;
+  double cover = 1024.0;
+  tree.mutable_node(0)->cover = cover;
+  for (int d = 0; d < kDepth; ++d) {
+    const double threshold = -0.9 + 1.8 * d / kDepth;
+    const auto [left, right] =
+        tree.Split(spine, d % 3, threshold, /*default_left=*/d % 2 == 0,
+                   /*gain=*/1.0);
+    tree.mutable_node(left)->cover = cover * 0.25;
+    tree.mutable_node(left)->value = 0.1 * d - 1.0;
+    cover *= 0.75;
+    tree.mutable_node(right)->cover = cover;
+    tree.mutable_node(right)->value = 2.0 - 0.05 * d;
+    spine = right;
+  }
+  ASSERT_EQ(tree.MaxDepth(), kDepth);
+  std::string text = "mysawh-gbt v1\nobjective reg:squarederror\n";
+  text += "base_score " + EncodeDouble(0.25) + "\nbest_iteration 0\n";
+  text += "num_features 3\nfeature f0\nfeature f1\nfeature f2\n";
+  text += "num_trees 1\ntree " + std::to_string(tree.num_nodes()) + "\n";
+  for (int i = 0; i < tree.num_nodes(); ++i) {
+    text += gbt::TreeNodeToText(tree.node(i)) + "\n";
+  }
+  const GbtModel model = GbtModel::Deserialize(text).value();
+  ASSERT_NE(model.flat_forest(), nullptr);
+  const TreeShap shap(&model);
+  const Dataset probe = MakeData(64, 3, 39, /*missing_prob=*/0.2);
+  const int64_t table_rows = TableRows();
+  ExpectMatchesReference(shap, probe);
+  EXPECT_EQ(TableRows(), table_rows);
+  ExpectAdditivity(model, probe);
 }
 
 TEST(TreeShapTest, ShapBatchChecksWidth) {
