@@ -1,6 +1,7 @@
 /// google-benchmark microbenchmarks for exact TreeSHAP: per-row explanation
 /// latency as a function of ensemble size and tree depth, batch SHAP
-/// against its reference twin, and a deployment-shaped ExplainRow.
+/// against its reference twin, and a deployment-shaped ExplainRow on a
+/// reused TreeShap and on a fresh one per request.
 
 #include <benchmark/benchmark.h>
 
@@ -114,8 +115,10 @@ BENCHMARK(BM_ShapBatchRef)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 /// One per-patient request as deployed: ExplainRow (prediction plus SHAP
 /// contributions ranked by size) on a data-driven study fit (300 trees,
 /// depth 4, 60 features; the study-shaped partition perf_gbt trains on),
-/// cycling through its rows. The model's pattern tables are built by the
-/// first call, before the timed loop.
+/// cycling through its rows on one long-lived TreeShap. A batch over the
+/// data before the timed loop serves enough rows for the pattern tables to
+/// pay, as a server's first requests do; BM_ExplainRowCold is the one-shot
+/// case.
 void BM_ExplainRow(benchmark::State& state) {
   const Dataset data = mysawh::bench::MakeStudyShapedData(3);
   const GbtModel model =
@@ -124,7 +127,7 @@ void BM_ExplainRow(benchmark::State& state) {
                                 mysawh::core::Approach::kDataDriven))
           .value();
   const TreeShap shap(&model);
-  benchmark::DoNotOptimize(shap.Shap(data.row(0)));
+  benchmark::DoNotOptimize(shap.ShapBatch(data));
   int64_t row = 0;
   for (auto _ : state) {
     auto explanation = mysawh::explain::ExplainRow(shap, data, row);
@@ -133,6 +136,27 @@ void BM_ExplainRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExplainRow)->Unit(benchmark::kMicrosecond);
+
+/// The one-shot request (CLI `explain`, audit replay): a fresh TreeShap per
+/// iteration explains a single row, so the time includes constructing the
+/// TreeShap. Arg = tree depth of the 300-tree study-shaped fit. A TreeShap
+/// this short-lived never serves enough rows for the pattern tables to pay,
+/// so this tracks the reference recursion plus the constructor.
+void BM_ExplainRowCold(benchmark::State& state) {
+  const Dataset data = mysawh::bench::MakeStudyShapedData(3);
+  GbtParams params = mysawh::core::DefaultGbtParams(
+      mysawh::core::Outcome::kQol, mysawh::core::Approach::kDataDriven);
+  params.max_depth = static_cast<int>(state.range(0));
+  const GbtModel model = GbtModel::Train(data, params).value();
+  int64_t row = 0;
+  for (auto _ : state) {
+    const TreeShap shap(&model);
+    auto explanation = mysawh::explain::ExplainRow(shap, data, row);
+    benchmark::DoNotOptimize(explanation);
+    row = (row + 1) % data.num_rows();
+  }
+}
+BENCHMARK(BM_ExplainRowCold)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

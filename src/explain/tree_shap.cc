@@ -1,6 +1,7 @@
 #include "explain/tree_shap.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <mutex>
 
@@ -207,8 +208,8 @@ size_t WorkspaceSize(int max_depth) {
 // (leaf, pattern) pair once, storing each addend
 // `w * (one_fraction - zero_fraction) * value` the recursion would produce,
 // and each row replays a table-lookup walk. The tables depend only on the
-// model: a TreeShap builds them on first use and serves Shap and ShapBatch
-// from them.
+// model: once a TreeShap has served enough rows for them to pay
+// (RowsBeforeTables), it builds them and serves Shap and ShapBatch from them.
 //
 // Bit-identity with the reference recursion holds because (a) the stored
 // addends come out of the SAME path arithmetic, on the flat forest's
@@ -402,18 +403,25 @@ void PatternShapRow(const gbt::FlatForest& flat,
   }
 }
 
-/// The tables fit the caps: no leaf deeper than kPatternDepthCap and at
-/// most kPatternTableMaxBytes of addends.
-bool UsePatternTables(const gbt::FlatForest& flat) {
+/// Rows a TreeShap serves on the reference recursion before it builds the
+/// tables. The builder visits every (leaf, pattern) pair once and a row
+/// visits every leaf once, so the tables pay for themselves once rows
+/// served x leaves >= 2 x pattern visits; a TreeShap that explains a row or
+/// two never builds them. -1 when the tables would break the caps: a leaf
+/// deeper than kPatternDepthCap or over kPatternTableMaxBytes of addends.
+int64_t RowsBeforeTables(const gbt::FlatForest& flat) {
   int deepest = 0;
   double pattern_visits = 0.0;
   for (int t = 0; t < flat.num_trees(); ++t) {
     CountPatternVisits(flat, flat.root(t), 0, &deepest, &pattern_visits);
   }
-  if (deepest > kPatternDepthCap) return false;
+  if (deepest > kPatternDepthCap) return -1;
   // Addends per pattern <= depth, so this bounds the payload from counts
   // already in hand.
-  return pattern_visits * deepest * 8 <= kPatternTableMaxBytes;
+  if (pattern_visits * deepest * 8 > kPatternTableMaxBytes) return -1;
+  const auto leaves =
+      static_cast<double>(std::max<int64_t>(flat.num_leaves(), 1));
+  return static_cast<int64_t>(std::ceil(2.0 * pattern_visits / leaves));
 }
 
 /// Cover-weighted mean leaf value of one tree.
@@ -431,8 +439,12 @@ double TreeExpectedValue(const RegressionTree& tree, int node_index) {
 
 /// The pattern tables of one model, shared by a TreeShap and its copies.
 struct TreeShap::PatternCache {
+  /// The forest the tables describe; nullptr when the model has none or is
+  /// over the caps (then every call runs the reference recursion).
+  const gbt::FlatForest* flat = nullptr;
+  int64_t rows_before_tables = 0;  ///< See RowsBeforeTables.
+  std::atomic<int64_t> rows_served{0};
   std::once_flag once;
-  bool built = false;  ///< false: no flat forest, or over the caps.
   std::vector<PatternTable> tables;
 };
 
@@ -446,25 +458,37 @@ TreeShap::TreeShap(const gbt::GbtModel* model)
     expected_value_ += TreeExpectedValue(tree, 0);
     max_depth_ = std::max(max_depth_, tree.MaxDepth());
   }
+  if (const gbt::FlatForest* flat = model->flat_forest()) {
+    tables_->rows_before_tables = RowsBeforeTables(*flat);
+    if (tables_->rows_before_tables >= 0) tables_->flat = flat;
+  }
 }
 
-const TreeShap::PatternCache* TreeShap::Tables() const {
-  if (tables_ == nullptr) return nullptr;  // moved-from
-  std::call_once(tables_->once, [this] {
-    const gbt::FlatForest* flat = model_->flat_forest();
-    if (flat == nullptr || !UsePatternTables(*flat)) return;
+const TreeShap::PatternCache* TreeShap::Tables(int64_t rows) const {
+  PatternCache* cache = tables_.get();
+  if (cache == nullptr || cache->flat == nullptr) return nullptr;
+  // API contract (tree_shap.h): the model is not recompiled or reassigned
+  // while this object lives, so the tables index the current forest.
+  MYSAWH_CHECK(cache->flat == model_->flat_forest());
+  // Count rows until the tables pay; past that point a load suffices.
+  if (cache->rows_served.load(std::memory_order_relaxed) <
+          cache->rows_before_tables &&
+      cache->rows_served.fetch_add(rows, std::memory_order_relaxed) + rows <
+          cache->rows_before_tables) {
+    return nullptr;
+  }
+  std::call_once(cache->once, [cache] {
     TraceSpan span("shap.tables", "explain");
-    tables_->tables = BuildPatternTables(*flat);
+    cache->tables = BuildPatternTables(*cache->flat);
     size_t bytes = 0;
-    for (const PatternTable& tbl : tables_->tables) {
+    for (const PatternTable& tbl : cache->tables) {
       bytes += tbl.leaves.size() * sizeof(PatternLeaf) +
                tbl.feats.size() * sizeof(int32_t) +
                tbl.vals.size() * sizeof(double);
     }
     span.Arg("bytes", static_cast<int64_t>(bytes));
-    tables_->built = true;
   });
-  return tables_->built ? tables_.get() : nullptr;
+  return cache;
 }
 
 void TreeShap::AccumulateReference(const double* row, double* phi,
@@ -480,7 +504,7 @@ void TreeShap::AccumulateReference(const double* row, double* phi,
 std::vector<double> TreeShap::Shap(const double* row) const {
   const auto m = static_cast<size_t>(model_->num_features());
   std::vector<double> phi(m, 0.0);
-  if (const PatternCache* cache = Tables()) {
+  if (const PatternCache* cache = Tables(1)) {
     const gbt::FlatForest& flat = *model_->flat_forest();
     std::vector<uint8_t> bins(m);
     flat.BinRow(row, bins.data());
@@ -518,11 +542,11 @@ std::vector<double> TreeShap::ShapInteractions(const double* row) const {
 
 Result<std::vector<std::vector<double>>> TreeShap::ShapBatch(
     const Dataset& data, ThreadPool* pool) const {
-  const PatternCache* cache = Tables();
-  if (cache == nullptr) return ShapBatchReference(data, pool);
   if (data.num_features() != model_->num_features()) {
     return Status::InvalidArgument("ShapBatch: dataset width mismatch");
   }
+  const PatternCache* cache = Tables(data.num_rows());
+  if (cache == nullptr) return ShapBatchReference(data, pool);
   TraceSpan span("shap.batch", "explain");
   span.Arg("rows", data.num_rows());
   span.Arg("pattern_tables", 1);

@@ -24,26 +24,31 @@ namespace mysawh::explain {
 /// XGBoost's TreeSHAP semantics. Runs in O(trees * leaves * depth^2).
 class TreeShap {
  public:
-  /// `model` must outlive this object.
+  /// `model` must outlive this object and must not be recompiled
+  /// (CompileFlat) or reassigned while it lives: the object caches state
+  /// derived from the model's trees and flat forest.
   explicit TreeShap(const gbt::GbtModel* model);
 
-  /// SHAP values for one row (num_features() doubles; NaN = missing). Bins
-  /// the row against the compiled flat forest and replays the model's
-  /// pattern tables (see ShapBatch); a model without a flat forest, or one
-  /// whose tables would exceed the depth or memory caps, runs the
-  /// reference per-tree recursion. Both give bit-identical values.
+  /// SHAP values for one row (num_features() doubles; NaN = missing). Runs
+  /// the reference per-tree recursion until this object (with its copies)
+  /// has served enough rows for the model's pattern tables to pay (see
+  /// ShapBatch); from then on it bins the row against the compiled flat
+  /// forest and replays the tables. A model without a flat forest, or one
+  /// whose tables would exceed the depth or memory caps, always runs the
+  /// recursion. Both give bit-identical values.
   std::vector<double> Shap(const double* row) const;
 
-  /// SHAP values for every row of `data` (one inner vector per row): each
-  /// row runs the same pattern-table replay as Shap(row), after one
-  /// quantization of the whole batch. The tables hold every
-  /// (leaf, ancestor-direction pattern) addend of the reference recursion;
-  /// they depend only on the model, so they are built once, on the first
-  /// Shap/ShapBatch call, and shared by this object's copies. Falls back
-  /// to ShapBatchReference exactly when Shap(row) falls back. Rows are
-  /// explained in parallel on `pool` (nullptr = the shared
-  /// `DefaultPool()`); the output equals calling Shap() per row for any
-  /// thread count.
+  /// SHAP values for every row of `data` (one inner vector per row), on
+  /// the same path Shap(row) would take, after one quantization of the
+  /// whole batch. The tables hold every (leaf, ancestor-direction pattern)
+  /// addend of the reference recursion and depend only on the model. They
+  /// are built once, under a once-flag shared by this object's copies, on
+  /// the call that brings the rows served to where rows x leaves >= 2 x
+  /// (leaf, pattern) pairs; calls before it delegate to
+  /// ShapBatchReference. So the speedup rests on reusing a TreeShap: a
+  /// one-shot explain never pays for the build. Rows are explained in
+  /// parallel on `pool` (nullptr = the shared `DefaultPool()`); the output
+  /// equals calling Shap() per row for any thread count.
   Result<std::vector<std::vector<double>>> ShapBatch(
       const Dataset& data, ThreadPool* pool = nullptr) const;
 
@@ -73,9 +78,11 @@ class TreeShap {
  private:
   struct PatternCache;
 
-  /// The model's pattern tables, built on the first call (thread-safe), or
-  /// nullptr when the model has no flat forest or is over the caps.
-  const PatternCache* Tables() const;
+  /// Counts `rows` about to be served and returns the model's pattern
+  /// tables, building them on the call that makes them pay (thread-safe);
+  /// nullptr before that, and always when the model has no flat forest or
+  /// is over the caps.
+  const PatternCache* Tables(int64_t rows) const;
 
   /// Adds the (possibly conditioned) reference recursion over every tree
   /// to `phi`, reusing one workspace sized for the deepest tree.

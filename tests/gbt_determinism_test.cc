@@ -315,8 +315,9 @@ TEST(DeterminismTest, FlatShapBitIdenticalToReferenceAcrossThreadCounts) {
   const GbtModel model = GbtModel::Train(train, BaseParams()).value();
   ASSERT_NE(model.flat_forest(), nullptr);
   const explain::TreeShap shap(&model);
-  // A handful of rows and several hundred: batch size no longer picks a
-  // strategy, and both must match the reference exactly.
+  // The first small batches run before the pattern tables pay and take the
+  // reference recursion; the 300-row batches replay the tables. Every batch
+  // must match the reference exactly.
   for (int64_t rows : {12, 300}) {
     const Dataset probe = MakeData(rows);
     const auto reference = shap.ShapBatchReference(probe).value();

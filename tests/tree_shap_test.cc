@@ -13,6 +13,7 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/serialization.h"
+#include "util/trace.h"
 
 namespace mysawh::explain {
 namespace {
@@ -203,9 +204,9 @@ TEST(TreeShapTest, ShapBatchMatchesPerRow) {
 
 TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
   // Deep trees over few features force repeated features on paths (the
-  // UnwindPath merge), so the pattern tables get the exact-equality check
-  // against the reference recursion on that branch, missing values
-  // included.
+  // UnwindPath merge), and 256 probe rows make the pattern tables pay on a
+  // fresh TreeShap, so the tables get the exact-equality check against the
+  // reference recursion on that branch, missing values included.
   const Dataset train = MakeData(500, 4, 32, /*missing_prob=*/0.15);
   GbtParams params;
   params.num_trees = 15;
@@ -245,20 +246,43 @@ TEST(TreeShapTest, StudyShapedModelMatchesReference) {
   EXPECT_EQ(TableRows() - table_rows, 120);
 }
 
+TEST(TreeShapTest, OneShotTreeShapSkipsTheTables) {
+  // A TreeShap explaining one row serves it on the reference recursion: the
+  // tables are built only once the rows served pay for them, counted across
+  // Shap and ShapBatch calls.
+  const Dataset train = MakeData(600, 6, 36, /*missing_prob=*/0.1);
+  GbtParams params;
+  params.num_trees = 40;
+  params.max_depth = 4;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  const Dataset one = MakeData(1, 6, 37);
+  const Dataset probe = MakeData(64, 6, 38, /*missing_prob=*/0.2);
+  const TreeShap shap(&model);
+  const int64_t table_rows = TableRows();
+  ExpectMatchesReference(shap, one);
+  EXPECT_EQ(TableRows(), table_rows);
+  // Depth <= 4 puts the break-even at <= 2 x 2^4 rows; 64 are past it.
+  ExpectMatchesReference(shap, probe);
+  ExpectMatchesReference(shap, one);
+  EXPECT_EQ(TableRows() - table_rows, probe.num_rows() + 1);
+}
+
 TEST(TreeShapTest, TableCacheFirstUseIsThreadSafe) {
-  // The tables are built on first use; four threads race to make that
-  // first call on one fresh TreeShap, half of them through a copy that
-  // shares its cache.
+  // Four threads serve rows one at a time on one fresh TreeShap, half of
+  // them through a copy that shares its cache, so the call that makes the
+  // tables pay (and builds them) races with calls replaying them. Exactly
+  // one build is traced.
   const Dataset train = MakeData(600, 6, 37, /*missing_prob=*/0.1);
   GbtParams params;
   params.num_trees = 40;
   params.max_depth = 4;
   const GbtModel model = GbtModel::Train(train, params).value();
-  const Dataset probe = MakeData(16, 6, 38, /*missing_prob=*/0.2);
+  const Dataset probe = MakeData(32, 6, 38, /*missing_prob=*/0.2);
   const TreeShap shap(&model);
   const TreeShap copy = shap;
   std::vector<std::vector<std::vector<double>>> got(4);
   std::vector<std::thread> threads;
+  Tracer::Global().Enable();
   for (size_t t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       const TreeShap& mine = t % 2 == 0 ? shap : copy;
@@ -268,6 +292,12 @@ TEST(TreeShapTest, TableCacheFirstUseIsThreadSafe) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+  Tracer::Global().Disable();
+  int builds = 0;
+  for (const TraceEvent& event : Tracer::Global().Snapshot()) {
+    builds += event.name == "shap.tables" ? 1 : 0;
+  }
+  EXPECT_EQ(builds, 1);
   const auto reference = shap.ShapBatchReference(probe).value();
   for (size_t t = 0; t < 4; ++t) EXPECT_EQ(got[t], reference) << t;
 }
@@ -319,6 +349,12 @@ TEST(TreeShapTest, ShapBatchChecksWidth) {
   const TreeShap shap(&model);
   const Dataset wrong = MakeData(5, 2, 31);
   EXPECT_FALSE(shap.ShapBatch(wrong).ok());
+  // A rejected batch is checked before its rows count toward building the
+  // tables: however long, it leaves the next row on the reference path.
+  EXPECT_FALSE(shap.ShapBatch(MakeData(500, 2, 32)).ok());
+  const int64_t table_rows = TableRows();
+  ExpectMatchesReference(shap, MakeData(1, 3, 33));
+  EXPECT_EQ(TableRows(), table_rows);
 }
 
 /// Property sweep across tree depths: additivity must hold regardless of
