@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 
-#include "gbt/objective.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 
@@ -47,25 +47,31 @@ Result<LocalExplanation> ExplainRow(const TreeShap& shap, const Dataset& data,
   }
   LocalExplanation out;
   const double* x = data.row(row);
-  const std::vector<double> phi = shap.Shap(x);
-  // One walk of the trees: PredictRow would repeat it to transform.
-  out.raw_prediction = shap.model().PredictRowRaw(x);
-  out.prediction =
-      gbt::MakeObjective(shap.model().objective_type())
-          ->Transform(out.raw_prediction);
+  // One pass yields both: on the pattern tables the margin comes from the
+  // same replay as the SHAP values.
+  const TreeShap::RowShap attribution = shap.ShapWithMargin(x);
+  const std::vector<double>& phi = attribution.phi;
+  out.raw_prediction = attribution.raw_prediction;
+  out.prediction = shap.model().Transform(out.raw_prediction);
   out.expected_value = shap.expected_value();
+  // Rank by (|phi| descending, name ascending) over feature indices; the
+  // precomputed name rank stands in for the string comparison.
+  const std::vector<int32_t>& name_rank = shap.feature_name_rank();
+  std::vector<int32_t> order(phi.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    const double abs_a = std::abs(phi[static_cast<size_t>(a)]);
+    const double abs_b = std::abs(phi[static_cast<size_t>(b)]);
+    if (abs_a != abs_b) return abs_a > abs_b;
+    return name_rank[static_cast<size_t>(a)] <
+           name_rank[static_cast<size_t>(b)];
+  });
   const auto& names = shap.model().feature_names();
-  out.contributions.reserve(phi.size());
-  for (size_t f = 0; f < phi.size(); ++f) {
-    out.contributions.push_back({names[f], x[f], phi[f]});
+  out.contributions.reserve(order.size());
+  for (int32_t f : order) {
+    const auto i = static_cast<size_t>(f);
+    out.contributions.push_back({names[i], x[i], phi[i]});
   }
-  std::sort(out.contributions.begin(), out.contributions.end(),
-            [](const FeatureContribution& a, const FeatureContribution& b) {
-              if (std::abs(a.shap) != std::abs(b.shap)) {
-                return std::abs(a.shap) > std::abs(b.shap);
-              }
-              return a.feature < b.feature;
-            });
   return out;
 }
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <numeric>
+#include <string>
 
 #include "core/audit_log.h"
 #include "gbt/flat_forest.h"
@@ -217,13 +219,14 @@ size_t WorkspaceSize(int max_depth) {
 // driven by an enumerated direction bit instead of the row's split test,
 // and (b) the replay adds them to phi in the SAME order the recursion
 // would: trees ascending, leaves in hot-child-first DFS order within a
-// tree, path positions ascending within a leaf.
+// tree, path positions ascending within a leaf. The replay does not walk
+// that DFS; it computes each leaf's rank in it (PatternShapRow).
 // ---------------------------------------------------------------------------
 
 /// Ancestor direction patterns wider than this fall back to the reference
 /// recursion (2^26 patterns on one leaf is already far past the point where
 /// the table could pay for itself, and the cap keeps the pattern index well
-/// inside uint32 and the replay stack bounded).
+/// inside uint32).
 constexpr int kPatternDepthCap = 26;
 /// Upper bound on total table payload before falling back.
 constexpr double kPatternTableMaxBytes = 64.0 * 1024 * 1024;
@@ -236,10 +239,25 @@ struct PatternLeaf {
   int64_t val_off = 0;   ///< Addends at val_off + pattern * unique.
 };
 
+/// One internal node of a tree's table, in the flat forest's preorder
+/// (parents before children): its split test on the binned row and, per
+/// child (index 1 = left, 0 = right), the child's slot in the replay's
+/// per-tree state and the number of leaves under it. Internal node i of a
+/// tree has slot i, its leaf j slot (number of internal nodes) + j.
+struct PatternNode {
+  int16_t feature = 0;
+  uint8_t bin_threshold = 0;
+  uint8_t default_left = 0;
+  int32_t depth = 0;  ///< Ancestors above the node = its pattern bit.
+  int32_t slot[2] = {0, 0};
+  int32_t leaves[2] = {0, 0};
+};
+
 /// Precomputed SHAP addends of every (leaf, ancestor-pattern) pair of one
 /// tree. Bit i of a pattern is 1 when the row goes left at the i-th
 /// internal node (root first) of the leaf's path.
 struct PatternTable {
+  std::vector<PatternNode> nodes;   ///< Internal nodes, preorder.
   std::vector<PatternLeaf> leaves;  ///< Indexed by leaf id - leaf_begin.
   std::vector<int32_t> feats;
   std::vector<double> vals;
@@ -347,60 +365,135 @@ std::vector<PatternTable> BuildPatternTables(const gbt::FlatForest& flat) {
         PatternLeaf{});
     BuildPatternsRecurse(flat, flat.root(t), 0, workspace.data(), 1.0, 1.0,
                          -1, 0, 0, &tbl);
+    const int32_t node_begin = flat.tree_node_begin(t);
+    const int32_t internal = flat.tree_node_end(t) - node_begin;
+    auto slot = [&](int32_t ref) {
+      return ref >= 0 ? ref - node_begin
+                      : internal + (~ref - tbl.leaf_begin);
+    };
+    tbl.nodes.resize(static_cast<size_t>(internal));
+    for (int32_t i = 0; i < internal; ++i) {  // Preorder: depths top-down.
+      PatternNode& node = tbl.nodes[static_cast<size_t>(i)];
+      const int32_t ref = node_begin + i;
+      node.feature = flat.feature(ref);
+      node.bin_threshold = flat.bin_threshold(ref);
+      node.default_left = flat.default_left(ref) ? 1 : 0;
+      node.slot[1] = slot(flat.left(ref));
+      node.slot[0] = slot(flat.right(ref));
+      for (const int32_t child : node.slot) {
+        if (child < internal) {
+          tbl.nodes[static_cast<size_t>(child)].depth = node.depth + 1;
+        }
+      }
+    }
+    for (int32_t i = internal - 1; i >= 0; --i) {  // Leaf counts bottom-up.
+      PatternNode& node = tbl.nodes[static_cast<size_t>(i)];
+      for (int c = 0; c < 2; ++c) {
+        const int32_t child = node.slot[c];
+        node.leaves[c] =
+            child < internal
+                ? tbl.nodes[static_cast<size_t>(child)].leaves[0] +
+                      tbl.nodes[static_cast<size_t>(child)].leaves[1]
+                : 1;
+      }
+    }
   }
   return tables;
 }
 
-/// One row x one tree from the table: a DFS over the internal nodes
-/// computes the row's direction bits (the pattern prefix) and adds each
-/// leaf's precomputed addends. The cold child is pushed first so the hot
-/// child pops first — the recursion's hot-then-cold leaf order, which
-/// keeps the phi accumulation order (and so the rounding) identical.
-void PatternReplayTree(const gbt::FlatForest& flat, const PatternTable& tbl,
-                       const uint8_t* bins, int32_t root, double* phi) {
-  struct Frame {
-    int32_t ref;
-    uint32_t pattern;
-    int32_t depth;
-  };
-  Frame stack[kPatternDepthCap + 2];
-  int top = 0;
-  stack[top++] = {root, 0, 0};
-  while (top > 0) {
-    const Frame e = stack[--top];
-    if (e.ref < 0) {
-      const PatternLeaf& lt =
-          tbl.leaves[static_cast<size_t>(~e.ref - tbl.leaf_begin)];
-      const double* v = tbl.vals.data() + lt.val_off +
-                        static_cast<int64_t>(e.pattern) * lt.unique;
-      const int32_t* ff = tbl.feats.data() + lt.feat_off;
-      for (int32_t i = 0; i < lt.unique; ++i) phi[ff[i]] += v[i];
-      continue;
-    }
-    const uint8_t bin = bins[flat.feature(e.ref)];
-    const bool go_left = bin == gbt::kFlatMissingBin
-                             ? flat.default_left(e.ref)
-                             : bin < flat.bin_threshold(e.ref);
-    const uint32_t p =
-        e.pattern | (static_cast<uint32_t>(go_left) << e.depth);
-    const int32_t d = e.depth + 1;
-    if (go_left) {
-      stack[top++] = {flat.right(e.ref), p, d};
-      stack[top++] = {flat.left(e.ref), p, d};
-    } else {
-      stack[top++] = {flat.left(e.ref), p, d};
-      stack[top++] = {flat.right(e.ref), p, d};
-    }
+/// One leaf's addends for one row: `count` values added to phi at the
+/// feature indices `feats`.
+struct AddendSlice {
+  const double* vals;
+  const int32_t* feats;
+  int32_t count;
+};
+
+/// Leaves the replay locates (and prefetches) ahead of adding them.
+constexpr size_t kSliceWindow = 64;
+
+void PrefetchRead(const void* p) {
+#if defined(__GNUC__)
+  __builtin_prefetch(p, 0, 3);
+#else
+  (void)p;
+#endif
+}
+
+void AddSlices(const AddendSlice* slices, size_t n, double* phi) {
+  for (size_t k = 0; k < n; ++k) {
+    const AddendSlice& s = slices[k];
+    for (int32_t i = 0; i < s.count; ++i) phi[s.feats[i]] += s.vals[i];
   }
 }
 
-void PatternShapRow(const gbt::FlatForest& flat,
-                    const std::vector<PatternTable>& tables,
-                    const uint8_t* bins, double* phi) {
-  for (int t = 0; t < flat.num_trees(); ++t) {
-    PatternReplayTree(flat, tables[static_cast<size_t>(t)], bins,
-                      flat.root(t), phi);
+/// One row over every tree's table; returns `raw` plus the row's leaf of
+/// each tree (its raw margin when `raw` is the base score).
+///
+/// The recursion visits a tree's leaves depth first, the child the row
+/// takes (hot) before the other (cold). A leaf's rank in that order is the
+/// number of leaves under the hot child of each ancestor where the leaf
+/// lies under the cold child, and its pattern is the row's directions at
+/// its ancestors. One branch-free pass over the internal nodes in preorder
+/// hands both down to the children, with no DFS and no branch on the row's
+/// directions. Each leaf then files its addend slice at its rank in a
+/// window and prefetches it; the window is added to phi in rank order once
+/// full (and at the end), so the accumulation order (and the rounding) is
+/// the recursion's while the table loads overlap the passes. The leaf of
+/// rank 0 lies under hot children only: it is the row's own leaf, summed
+/// in ascending tree order as the reference walker does.
+double PatternShapRow(const gbt::FlatForest& flat,
+                      const std::vector<PatternTable>& tables,
+                      const uint8_t* bins, double raw, double* phi) {
+  struct SlotState {
+    uint32_t pattern;
+    int32_t rank;
+  };
+  std::vector<AddendSlice> window(kSliceWindow);
+  std::vector<SlotState> state(2 * kSliceWindow);
+  size_t pending = 0;
+  for (const PatternTable& tbl : tables) {
+    const size_t internal = tbl.nodes.size();
+    const size_t leaves = tbl.leaves.size();
+    if (pending + leaves > window.size()) {
+      AddSlices(window.data(), pending, phi);
+      pending = 0;
+      if (leaves > window.size()) window.resize(leaves);
+    }
+    if (internal + leaves > state.size()) state.resize(internal + leaves);
+    SlotState* st = state.data();
+    st[0] = {0, 0};  // The root: internal node 0, or a lone leaf.
+    for (size_t i = 0; i < internal; ++i) {
+      const PatternNode& node = tbl.nodes[i];
+      // A missing bin (0xFF) is never below a threshold (at most 254).
+      const uint8_t bin = bins[node.feature];
+      const uint32_t left =
+          static_cast<uint32_t>(bin < node.bin_threshold) |
+          (static_cast<uint32_t>(bin == gbt::kFlatMissingBin) &
+           node.default_left);
+      const SlotState s = st[i];
+      const uint32_t pattern = s.pattern | (left << node.depth);
+      st[node.slot[left]] = {pattern, s.rank};
+      st[node.slot[left ^ 1]] = {pattern, s.rank + node.leaves[left]};
+    }
+    AddendSlice* out = window.data() + pending;
+    double own = 0.0;
+    for (size_t j = 0; j < leaves; ++j) {
+      const SlotState s = st[internal + j];
+      const PatternLeaf& lt = tbl.leaves[j];
+      const double* v = tbl.vals.data() + lt.val_off +
+                        static_cast<int64_t>(s.pattern) * lt.unique;
+      PrefetchRead(v);
+      out[s.rank] = {v, tbl.feats.data() + lt.feat_off, lt.unique};
+      own = s.rank == 0
+                ? flat.leaf_value(tbl.leaf_begin + static_cast<int32_t>(j))
+                : own;
+    }
+    raw += own;
+    pending += leaves;
   }
+  AddSlices(window.data(), pending, phi);
+  return raw;
 }
 
 /// Rows a TreeShap serves on the reference recursion before it builds the
@@ -462,6 +555,16 @@ TreeShap::TreeShap(const gbt::GbtModel* model)
     tables_->rows_before_tables = RowsBeforeTables(*flat);
     if (tables_->rows_before_tables >= 0) tables_->flat = flat;
   }
+  const std::vector<std::string>& names = model->feature_names();
+  std::vector<int32_t> by_name(names.size());
+  std::iota(by_name.begin(), by_name.end(), 0);
+  std::stable_sort(by_name.begin(), by_name.end(), [&](int32_t a, int32_t b) {
+    return names[static_cast<size_t>(a)] < names[static_cast<size_t>(b)];
+  });
+  name_rank_.resize(names.size());
+  for (size_t i = 0; i < by_name.size(); ++i) {
+    name_rank_[static_cast<size_t>(by_name[i])] = static_cast<int32_t>(i);
+  }
 }
 
 const TreeShap::PatternCache* TreeShap::Tables(int64_t rows) const {
@@ -482,7 +585,8 @@ const TreeShap::PatternCache* TreeShap::Tables(int64_t rows) const {
     cache->tables = BuildPatternTables(*cache->flat);
     size_t bytes = 0;
     for (const PatternTable& tbl : cache->tables) {
-      bytes += tbl.leaves.size() * sizeof(PatternLeaf) +
+      bytes += tbl.nodes.size() * sizeof(PatternNode) +
+               tbl.leaves.size() * sizeof(PatternLeaf) +
                tbl.feats.size() * sizeof(int32_t) +
                tbl.vals.size() * sizeof(double);
     }
@@ -501,19 +605,38 @@ void TreeShap::AccumulateReference(const double* row, double* phi,
   }
 }
 
-std::vector<double> TreeShap::Shap(const double* row) const {
-  const auto m = static_cast<size_t>(model_->num_features());
-  std::vector<double> phi(m, 0.0);
+double TreeShap::ShapRow(const double* row, double* phi,
+                         bool want_raw) const {
   if (const PatternCache* cache = Tables(1)) {
     const gbt::FlatForest& flat = *model_->flat_forest();
-    std::vector<uint8_t> bins(m);
-    flat.BinRow(row, bins.data());
-    PatternShapRow(flat, cache->tables, bins.data(), phi.data());
-  } else {
-    AccumulateReference(row, phi.data(), /*condition=*/0,
-                        /*condition_feature=*/-1);
+    // The row's bins live on the stack unless the model is unusually wide.
+    constexpr size_t kStackBins = 256;
+    uint8_t stack_bins[kStackBins];
+    std::vector<uint8_t> heap_bins;
+    uint8_t* bins = stack_bins;
+    if (static_cast<size_t>(flat.num_features()) > kStackBins) {
+      heap_bins.resize(static_cast<size_t>(flat.num_features()));
+      bins = heap_bins.data();
+    }
+    flat.BinRow(row, bins);
+    return PatternShapRow(flat, cache->tables, bins, model_->base_score(),
+                          phi);
   }
+  AccumulateReference(row, phi, /*condition=*/0, /*condition_feature=*/-1);
+  return want_raw ? model_->PredictRowRaw(row) : 0.0;
+}
+
+std::vector<double> TreeShap::Shap(const double* row) const {
+  std::vector<double> phi(static_cast<size_t>(model_->num_features()), 0.0);
+  ShapRow(row, phi.data(), /*want_raw=*/false);
   return phi;
+}
+
+TreeShap::RowShap TreeShap::ShapWithMargin(const double* row) const {
+  RowShap out;
+  out.phi.assign(static_cast<size_t>(model_->num_features()), 0.0);
+  out.raw_prediction = ShapRow(row, out.phi.data(), /*want_raw=*/true);
+  return out;
 }
 
 std::vector<double> TreeShap::ShapInteractions(const double* row) const {
@@ -566,7 +689,8 @@ Result<std::vector<std::vector<double>>> TreeShap::ShapBatch(
   workers.ParallelFor(data.num_rows(), [&](int64_t r) {
     std::vector<double> phi(m, 0.0);
     PatternShapRow(flat, cache->tables,
-                   bins.data() + static_cast<size_t>(r) * m, phi.data());
+                   bins.data() + static_cast<size_t>(r) * m,
+                   model_->base_score(), phi.data());
     out[static_cast<size_t>(r)] = std::move(phi);
   });
   // Audit hook: on the calling thread after the parallel loop, so

@@ -1,6 +1,7 @@
 #ifndef MYSAWH_EXPLAIN_TREE_SHAP_H_
 #define MYSAWH_EXPLAIN_TREE_SHAP_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -37,6 +38,20 @@ class TreeShap {
   /// whose tables would exceed the depth or memory caps, always runs the
   /// recursion. Both give bit-identical values.
   std::vector<double> Shap(const double* row) const;
+
+  /// One row's SHAP values together with its raw margin.
+  struct RowShap {
+    std::vector<double> phi;      ///< As Shap(row) returns them.
+    double raw_prediction = 0.0;  ///< == model().PredictRowRaw(row).
+  };
+
+  /// Shap(row) plus the raw margin, on the same path. On the tables both
+  /// come from one replay: the first leaf it pops in each tree is the
+  /// row's own leaf, so base_score plus those leaves in ascending tree
+  /// order is the reference walker's sum, bit for bit, without a second
+  /// walk. On the recursion the margin is PredictRowRaw. ExplainRow's
+  /// entry point.
+  RowShap ShapWithMargin(const double* row) const;
 
   /// SHAP values for every row of `data` (one inner vector per row), on
   /// the same path Shap(row) would take, after one quantization of the
@@ -75,6 +90,12 @@ class TreeShap {
 
   const gbt::GbtModel& model() const { return *model_; }
 
+  /// Each feature's position among the model's feature names sorted
+  /// ascending (equal names by column): ExplainRow's tie-break between
+  /// equal |SHAP| values, ranked once here rather than by comparing names
+  /// on every row.
+  const std::vector<int32_t>& feature_name_rank() const { return name_rank_; }
+
  private:
   struct PatternCache;
 
@@ -83,6 +104,12 @@ class TreeShap {
   /// nullptr before that, and always when the model has no flat forest or
   /// is over the caps.
   const PatternCache* Tables(int64_t rows) const;
+
+  /// Adds the row's SHAP values to `phi` (num_features() zeros) on the
+  /// path Shap(row) documents and returns the raw margin: the replay's
+  /// on the tables, PredictRowRaw on the recursion when `want_raw` (0.0
+  /// otherwise, so Shap skips the walk).
+  double ShapRow(const double* row, double* phi, bool want_raw) const;
 
   /// Adds the (possibly conditioned) reference recursion over every tree
   /// to `phi`, reusing one workspace sized for the deepest tree.
@@ -93,6 +120,7 @@ class TreeShap {
   double expected_value_ = 0.0;
   int max_depth_ = 0;  ///< Deepest tree; sizes the recursion workspace.
   std::shared_ptr<PatternCache> tables_;
+  std::vector<int32_t> name_rank_;  ///< See feature_name_rank().
 };
 
 }  // namespace mysawh::explain

@@ -264,8 +264,7 @@ Result<std::vector<double>> GamModel::ShapValues(const double* row) const {
 double GamModel::PredictRow(const double* row) const {
   double raw = base_score_;
   for (const auto& tree : trees_) raw += tree.Predict(row);
-  const auto objective = gbt::MakeObjective(objective_type_);
-  return objective->Transform(raw);
+  return gbt::SharedObjective(objective_type_).Transform(raw);
 }
 
 Result<std::vector<double>> GamModel::Predict(const Dataset& data) const {

@@ -112,6 +112,15 @@ class FlatForest {
   int32_t tree_leaf_end(int tree) const {
     return tree_leaf_offsets_[static_cast<size_t>(tree) + 1];
   }
+  /// Tree `tree`'s internal nodes are ids [tree_node_begin(t),
+  /// tree_node_end(t)), in preorder: the root first (when the tree has an
+  /// internal node at all) and every parent before its children.
+  int32_t tree_node_begin(int tree) const {
+    return tree_node_offsets_[static_cast<size_t>(tree)];
+  }
+  int32_t tree_node_end(int tree) const {
+    return tree_node_offsets_[static_cast<size_t>(tree) + 1];
+  }
 
   /// Quantizes one row of num_features() doubles into `out` (num_features()
   /// bytes): bin(v) = number of cuts <= v, NaN -> kFlatMissingBin.

@@ -57,9 +57,12 @@ double GbtModel::PredictRowRaw(const double* row) const {
   return raw;
 }
 
+double GbtModel::Transform(double raw) const {
+  return SharedObjective(objective_type_).Transform(raw);
+}
+
 double GbtModel::PredictRow(const double* row) const {
-  const auto objective = MakeObjective(objective_type_);
-  return objective->Transform(PredictRowRaw(row));
+  return Transform(PredictRowRaw(row));
 }
 
 Result<std::vector<double>> GbtModel::PredictRaw(const Dataset& data) const {
@@ -114,9 +117,8 @@ Result<std::vector<double>> GbtModel::PredictRawReference(
 
 Result<std::vector<double>> GbtModel::Predict(const Dataset& data) const {
   MYSAWH_ASSIGN_OR_RETURN(std::vector<double> raw, PredictRaw(data));
-  const auto objective = MakeObjective(objective_type_);
   DefaultPool().ParallelFor(static_cast<int64_t>(raw.size()), [&](int64_t i) {
-    raw[static_cast<size_t>(i)] = objective->Transform(raw[static_cast<size_t>(i)]);
+    raw[static_cast<size_t>(i)] = Transform(raw[static_cast<size_t>(i)]);
   });
   // Model-quality observability hooks: one relaxed load each when
   // disarmed, and always on the calling thread after the parallel loops,
@@ -133,9 +135,8 @@ Result<std::vector<double>> GbtModel::Predict(const Dataset& data) const {
 Result<std::vector<double>> GbtModel::PredictReference(
     const Dataset& data) const {
   MYSAWH_ASSIGN_OR_RETURN(std::vector<double> raw, PredictRawReference(data));
-  const auto objective = MakeObjective(objective_type_);
   DefaultPool().ParallelFor(static_cast<int64_t>(raw.size()), [&](int64_t i) {
-    raw[static_cast<size_t>(i)] = objective->Transform(raw[static_cast<size_t>(i)]);
+    raw[static_cast<size_t>(i)] = Transform(raw[static_cast<size_t>(i)]);
   });
   return raw;
 }
@@ -146,13 +147,12 @@ Result<std::vector<std::vector<double>>> GbtModel::PredictStaged(
   if (data.num_features() != num_features()) {
     return Status::InvalidArgument("PredictStaged: dataset width mismatch");
   }
-  const auto objective = MakeObjective(objective_type_);
   std::vector<double> raw(static_cast<size_t>(data.num_rows()), base_score_);
   std::vector<std::vector<double>> stages;
   auto snapshot = [&] {
     std::vector<double> stage(raw.size());
     for (size_t i = 0; i < raw.size(); ++i) {
-      stage[i] = objective->Transform(raw[i]);
+      stage[i] = Transform(raw[i]);
     }
     stages.push_back(std::move(stage));
   };

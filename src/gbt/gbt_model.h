@@ -56,6 +56,11 @@ class GbtModel : public model::Model {
   double PredictRow(const double* row) const;
   /// Raw margin score for one row.
   double PredictRowRaw(const double* row) const;
+  /// Maps a raw margin to the prediction scale with the model's objective
+  /// (identity for regression, sigmoid for logistic, exp for Poisson): the
+  /// one transform PredictRow, Predict, PredictStaged and
+  /// explain::ExplainRow apply.
+  double Transform(double raw) const;
 
   /// Batch prediction; fails when the dataset's width differs. Runs the
   /// compiled flat-forest kernel when available (bit-identical to the

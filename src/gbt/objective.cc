@@ -221,4 +221,22 @@ std::unique_ptr<Objective> MakeObjective(ObjectiveType type) {
   return nullptr;
 }
 
+const Objective& SharedObjective(ObjectiveType type) {
+  static const SquaredErrorObjective squared_error;
+  static const LogisticObjective logistic;
+  static const PseudoHuberObjective pseudo_huber;
+  static const PoissonObjective poisson;
+  switch (type) {
+    case ObjectiveType::kSquaredError:
+      return squared_error;
+    case ObjectiveType::kLogistic:
+      return logistic;
+    case ObjectiveType::kPseudoHuber:
+      return pseudo_huber;
+    case ObjectiveType::kPoisson:
+      return poisson;
+  }
+  return squared_error;
+}
+
 }  // namespace mysawh::gbt

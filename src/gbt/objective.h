@@ -68,6 +68,11 @@ class Objective {
 /// Factory for the built-in objectives.
 std::unique_ptr<Objective> MakeObjective(ObjectiveType type);
 
+/// The built-in objective of `type` as one immutable instance shared by the
+/// process (the objectives hold no state), for callers that only evaluate
+/// it per row and would otherwise allocate one per call.
+const Objective& SharedObjective(ObjectiveType type);
+
 }  // namespace mysawh::gbt
 
 #endif  // MYSAWH_GBT_OBJECTIVE_H_

@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "gbt/tree.h"
 #include "util/rng.h"
+#include "util/serialization.h"
+#include "util/trace.h"
 
 namespace mysawh::explain {
 namespace {
 
 using gbt::GbtModel;
 using gbt::GbtParams;
+using gbt::ObjectiveType;
+using gbt::RegressionTree;
 
 /// Strong effect on "big", weak on "small", none on "none"; "step" has a
 /// sharp threshold at 3 on a 1..10 ordinal scale (Fig 7-style).
@@ -34,6 +43,116 @@ GbtModel TrainModel(const Dataset& train) {
   params.num_trees = 80;
   params.learning_rate = 0.1;
   return GbtModel::Train(train, params).value();
+}
+
+/// A model over `names` made of the given trees, through the model file
+/// format (so it is validated and compiled like a loaded model).
+GbtModel ModelFromTrees(const std::vector<std::string>& names,
+                        const std::vector<RegressionTree>& trees,
+                        ObjectiveType objective, double base_score) {
+  std::string text = "mysawh-gbt v1\nobjective ";
+  text += gbt::ObjectiveTypeName(objective);
+  text += "\nbase_score " + EncodeDouble(base_score) + "\nbest_iteration 0\n";
+  text += "num_features " + std::to_string(names.size()) + "\n";
+  for (const std::string& name : names) text += "feature " + name + "\n";
+  text += "num_trees " + std::to_string(trees.size()) + "\n";
+  for (const RegressionTree& tree : trees) {
+    text += "tree " + std::to_string(tree.num_nodes()) + "\n";
+    for (int i = 0; i < tree.num_nodes(); ++i) {
+      text += gbt::TreeNodeToText(tree.node(i)) + "\n";
+    }
+  }
+  GbtModel model = GbtModel::Deserialize(text).value();
+  EXPECT_NE(model.flat_forest(), nullptr);
+  return model;
+}
+
+/// One split on `feature` at 0 (missing goes left) with equal covers, so
+/// the tree's expectation is the mean of its two leaves.
+RegressionTree Stump(int feature, double left_value, double right_value) {
+  RegressionTree tree;
+  tree.mutable_node(0)->cover = 100.0;
+  const auto [left, right] = tree.Split(0, feature, 0.0,
+                                        /*default_left=*/true, /*gain=*/1.0);
+  tree.mutable_node(left)->cover = 50.0;
+  tree.mutable_node(left)->value = left_value;
+  tree.mutable_node(right)->cover = 50.0;
+  tree.mutable_node(right)->value = right_value;
+  return tree;
+}
+
+/// The ranking ExplainRow has always promised: |shap| descending, then
+/// feature name ascending.
+bool OldRankOrder(const FeatureContribution& a, const FeatureContribution& b) {
+  if (std::abs(a.shap) != std::abs(b.shap)) {
+    return std::abs(a.shap) > std::abs(b.shap);
+  }
+  return a.feature < b.feature;
+}
+
+/// Checks one explanation of `data` row `r` against the model's own per-row
+/// walk and transform (bit for bit), against Shap(row), and its ranking
+/// against the string comparator.
+void ExpectExplanationOfRow(const TreeShap& shap, const Dataset& data,
+                            int64_t r, const LocalExplanation& e) {
+  const GbtModel& model = shap.model();
+  const double* x = data.row(r);
+  EXPECT_EQ(e.raw_prediction, model.PredictRowRaw(x)) << "row " << r;
+  EXPECT_EQ(e.prediction, model.PredictRow(x)) << "row " << r;
+  EXPECT_EQ(e.expected_value, shap.expected_value());
+  const std::vector<double> phi = shap.Shap(x);
+  ASSERT_EQ(e.contributions.size(), phi.size());
+  for (const FeatureContribution& c : e.contributions) {
+    const auto f = static_cast<size_t>(data.FeatureIndex(c.feature).value());
+    EXPECT_EQ(c.shap, phi[f]) << c.feature;
+    EXPECT_EQ(std::isnan(c.value), std::isnan(x[f])) << c.feature;
+    if (!std::isnan(x[f])) {
+      EXPECT_EQ(c.value, x[f]) << c.feature;
+    }
+  }
+  std::vector<FeatureContribution> ranked = e.contributions;
+  std::sort(ranked.begin(), ranked.end(), OldRankOrder);
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    EXPECT_EQ(e.contributions[i].feature, ranked[i].feature)
+        << "row " << r << " rank " << i;
+  }
+}
+
+size_t TableBuilds() {
+  size_t builds = 0;
+  for (const TraceEvent& event : Tracer::Global().Snapshot()) {
+    builds += event.name == "shap.tables" ? 1 : 0;
+  }
+  return builds;
+}
+
+/// ExplainRow on both TreeSHAP paths: a fresh TreeShap serves its first row
+/// on the reference recursion (no table build is traced), and after a
+/// warming ShapBatch (which builds the tables) every row replays them.
+void ExpectExplainRowOnBothPaths(const GbtModel& model, const Dataset& data) {
+  const TreeShap shap(&model);
+  Tracer::Global().Enable();
+  const LocalExplanation first = ExplainRow(shap, data, 0).value();
+  EXPECT_EQ(TableBuilds(), 0u);
+  ASSERT_TRUE(shap.ShapBatch(data).ok());
+  EXPECT_EQ(TableBuilds(), 1u);
+  Tracer::Global().Disable();
+  ExpectExplanationOfRow(shap, data, 0, first);
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    ExpectExplanationOfRow(shap, data, r, ExplainRow(shap, data, r).value());
+  }
+}
+
+void ExpectSameExplanation(const LocalExplanation& a,
+                           const LocalExplanation& b) {
+  EXPECT_EQ(a.prediction, b.prediction);
+  EXPECT_EQ(a.raw_prediction, b.raw_prediction);
+  EXPECT_EQ(a.expected_value, b.expected_value);
+  ASSERT_EQ(a.contributions.size(), b.contributions.size());
+  for (size_t i = 0; i < a.contributions.size(); ++i) {
+    EXPECT_EQ(a.contributions[i].feature, b.contributions[i].feature) << i;
+    EXPECT_EQ(a.contributions[i].shap, b.contributions[i].shap) << i;
+  }
 }
 
 TEST(ExplanationTest, LocalExplanationRanksByMagnitude) {
@@ -151,6 +270,143 @@ TEST(ExplanationTest, DependenceCurveWithoutSignChangeHasNoThreshold) {
   const auto curve = ComputeDependenceCurve(shap, flat, "x").value();
   EXPECT_FALSE(curve.has_threshold);
   EXPECT_TRUE(std::isnan(curve.recovered_threshold));
+}
+
+TEST(ExplanationTest, ExplainRowMatchesModelOnBothPathsSquaredError) {
+  const Dataset data = MakeData(400, 12);
+  ExpectExplainRowOnBothPaths(TrainModel(data), data);
+}
+
+TEST(ExplanationTest, ExplainRowMatchesModelOnBothPathsLogistic) {
+  Rng rng(13);
+  Dataset data = Dataset::Create({"big", "small", "none", "step"});
+  for (int64_t i = 0; i < 400; ++i) {
+    const double big = rng.Uniform(-1, 1);
+    const double small = i % 7 == 0 ? std::nan("") : rng.Uniform(-1, 1);
+    const double none = rng.Uniform(-1, 1);
+    const double step = static_cast<double>(rng.UniformInt(1, 10));
+    const double margin = 3.0 * big + small * 0.5 + (step < 3.0 ? 1.0 : -1.0);
+    const double y =
+        rng.Uniform(0, 1) < 1.0 / (1.0 + std::exp(-margin)) ? 1.0 : 0.0;
+    ASSERT_TRUE(data.AddRow({big, small, none, step}, y).ok());
+  }
+  GbtParams params;
+  params.objective = ObjectiveType::kLogistic;
+  params.num_trees = 60;
+  const GbtModel model = GbtModel::Train(data, params).value();
+  ExpectExplainRowOnBothPaths(model, data);
+}
+
+TEST(ExplanationTest, ExplainRowMatchesModelWithSingleLeafTree) {
+  // The middle tree is a lone leaf: its value still enters the margin
+  // (the replay pops it as the tree's first and only leaf) but no feature.
+  RegressionTree leaf;
+  leaf.mutable_node(0)->cover = 100.0;
+  leaf.mutable_node(0)->value = 0.375;
+  RegressionTree deep = Stump(1, -0.5, 0.25);
+  const auto [ll, lr] = deep.Split(1, 0, -0.5, /*default_left=*/false, 1.0);
+  deep.mutable_node(ll)->cover = 20.0;
+  deep.mutable_node(ll)->value = -0.75;
+  deep.mutable_node(lr)->cover = 30.0;
+  deep.mutable_node(lr)->value = -0.125;
+  const GbtModel model =
+      ModelFromTrees({"a", "b"}, {Stump(0, -1.0, 1.5), leaf, deep},
+                     ObjectiveType::kSquaredError, 0.3);
+  Rng rng(14);
+  Dataset data = Dataset::Create({"a", "b"});
+  for (int i = 0; i < 40; ++i) {
+    const double a = i % 9 == 0 ? std::nan("") : rng.Uniform(-1, 1);
+    const double b = i % 11 == 0 ? std::nan("") : rng.Uniform(-1, 1);
+    ASSERT_TRUE(data.AddRow({a, b}, 0.0).ok());
+  }
+  ExpectExplainRowOnBothPaths(model, data);
+}
+
+TEST(ExplanationTest, RankingBreaksTiesByNameNotColumn) {
+  // Names out of column order; "zeta" and "alpha" get SHAP values of
+  // equal magnitude and "mid"/"omega" none at all.
+  const std::vector<std::string> names = {"zeta", "mid", "alpha", "beta",
+                                          "omega"};
+  const GbtModel model = ModelFromTrees(
+      names, {Stump(0, -1.0, 1.0), Stump(2, -1.0, 1.0), Stump(3, -0.25, 0.25)},
+      ObjectiveType::kSquaredError, 0.0);
+  Dataset data = Dataset::Create(names);
+  ASSERT_TRUE(data.AddRow({0.5, 0.0, -0.5, 0.5, 0.0}, 0.0).ok());
+  ASSERT_TRUE(data.AddRow({-0.5, 1.0, 0.5, -0.5, 1.0}, 0.0).ok());
+  Rng rng(17);
+  for (int i = 0; i < 30; ++i) {
+    // Values on the split points' sides only, so every |shap| is a tie
+    // class of the stumps' leaf values.
+    std::vector<double> row;
+    for (size_t f = 0; f < names.size(); ++f) {
+      row.push_back(rng.Bernoulli(0.5) ? 0.5 : -0.5);
+    }
+    ASSERT_TRUE(data.AddRow(row, 0.0).ok());
+  }
+  const TreeShap shap(&model);
+  for (int64_t r = 0; r < 2; ++r) {
+    const LocalExplanation e = ExplainRow(shap, data, r).value();
+    std::vector<std::string> order;
+    for (const FeatureContribution& c : e.contributions) {
+      order.push_back(c.feature);
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"alpha", "zeta", "beta", "mid",
+                                               "omega"}));
+    EXPECT_EQ(std::abs(e.contributions[0].shap), 1.0);
+    EXPECT_EQ(std::abs(e.contributions[1].shap), 1.0);
+    EXPECT_EQ(e.contributions[3].shap, 0.0);
+    ExpectExplanationOfRow(shap, data, r, e);
+  }
+  ExpectExplainRowOnBothPaths(model, data);
+}
+
+TEST(ExplanationTest, RankingMatchesStringComparatorOnTrainedModel) {
+  // Reversed names put name order against column order on every tie.
+  const Dataset base = MakeData(300, 15);
+  Dataset data = Dataset::Create({"z_big", "y_small", "x_none", "w_step"});
+  for (int64_t r = 0; r < base.num_rows(); ++r) {
+    const double* x = base.row(r);
+    ASSERT_TRUE(data.AddRow({x[0], x[1], x[2], x[3]}, base.label(r)).ok());
+  }
+  ExpectExplainRowOnBothPaths(TrainModel(data), data);
+}
+
+TEST(ExplanationTest, ConcurrentExplainRowMatchesSequential) {
+  // Four threads explain rows on one fresh TreeShap, so the call that
+  // makes the tables pay (and builds them) races with reference-path and
+  // replay calls. Every explanation equals a sequential one.
+  const Dataset data = MakeData(600, 16);
+  GbtParams params;
+  params.num_trees = 40;
+  params.max_depth = 4;
+  const GbtModel model = GbtModel::Train(data, params).value();
+  constexpr int64_t kRows = 48;  // 4 x 48 rows pass the <= 32-row threshold
+  std::vector<LocalExplanation> sequential;
+  {
+    const TreeShap shap(&model);
+    for (int64_t r = 0; r < kRows; ++r) {
+      sequential.push_back(ExplainRow(shap, data, r).value());
+    }
+  }
+  const TreeShap shared(&model);
+  std::vector<std::vector<LocalExplanation>> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int64_t i = 0; i < kRows; ++i) {
+        const int64_t r = (i + static_cast<int64_t>(t) * 12) % kRows;
+        got[t].push_back(ExplainRow(shared, data, r).value());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < got.size(); ++t) {
+    for (int64_t i = 0; i < kRows; ++i) {
+      const int64_t r = (i + static_cast<int64_t>(t) * 12) % kRows;
+      ExpectSameExplanation(got[t][static_cast<size_t>(i)],
+                            sequential[static_cast<size_t>(r)]);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -221,6 +222,28 @@ TEST(TreeShapTest, ShapBatchPatternTablesMatchPerRow) {
     EXPECT_EQ(batch[static_cast<size_t>(r)], shap.Shap(probe.row(r)));
   }
   ExpectMatchesReference(shap, probe);
+}
+
+TEST(TreeShapTest, TreesWiderThanTheReplayWindowMatchReference) {
+  // Depth-8 trees hold more leaves than the replay's 64-slice window, so
+  // the replay grows its window and per-tree state for them; the values
+  // still match the reference recursion bit for bit.
+  const Dataset train = MakeData(3000, 6, 40, /*missing_prob=*/0.05);
+  GbtParams params;
+  params.num_trees = 6;
+  params.max_depth = 8;
+  const GbtModel model = GbtModel::Train(train, params).value();
+  ASSERT_NE(model.flat_forest(), nullptr);
+  int widest = 0;
+  for (const auto& tree : model.trees()) {
+    widest = std::max(widest, tree.num_leaves());
+  }
+  ASSERT_GT(widest, 64);
+  const TreeShap shap(&model);
+  const int64_t table_rows = TableRows();
+  const Dataset probe = MakeData(600, 6, 41, /*missing_prob=*/0.1);
+  ExpectMatchesReference(shap, probe);
+  EXPECT_EQ(TableRows() - table_rows, probe.num_rows());
 }
 
 TEST(TreeShapTest, StudyShapedModelMatchesReference) {

@@ -474,9 +474,10 @@ Status RunExplain(const FlagParser& flags) {
                           explain::ExplainRow(shap, data, row));
   std::cout << explanation.ToString(static_cast<int>(top));
   if (core::AuditEnabled()) {
-    // ExplainRow walks the trees itself, past the audited batch paths, so
-    // the explained row also goes through Predict and ShapBatch once: the
-    // audit log then holds what --audit-out promises.
+    // ExplainRow computes its margin and SHAP values itself, past the
+    // audited batch paths, so the explained row also goes through Predict
+    // and ShapBatch once: the audit log then holds what --audit-out
+    // promises.
     Dataset explained = Dataset::Create(data.feature_names());
     const double* values = data.row(row);
     MYSAWH_RETURN_NOT_OK(explained.AddRow(
